@@ -1,6 +1,6 @@
-"""Dense linear-algebra kernels: row masking, submatrices, left-sided
-linear solves with singularity classification, and spectral-radius
-estimation for nonnegative matrices.
+"""Dense linear-algebra kernels: left-sided linear solves with
+singularity classification, and spectral-radius estimation for
+nonnegative matrices.
 
 All vectors are row vectors, so solves have the form ``x @ A = b``.
 """
@@ -41,32 +41,6 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     return m
-
-
-def _check_index_set(indices, limit, allow_empty=True) -> np.ndarray:
-    idx = np.array(sorted({int(i) for i in indices}), dtype=int)
-    if idx.size == 0 and not allow_empty:
-        raise ValueError("index set must be nonempty")
-    if idx.size and (idx[0] < 0 or idx[-1] >= limit):
-        raise ValueError(f"index out of range for dimension {limit}: {idx}")
-    return idx
-
-
-def mask_rows(m: np.ndarray, rows) -> np.ndarray:
-    """Return a copy of ``m`` that keeps the given rows and zeroes the rest."""
-    m = np.asarray(m, dtype=float)
-    idx = _check_index_set(rows, m.shape[0])
-    out = np.zeros_like(m)
-    out[idx] = m[idx]
-    return out
-
-
-def submatrix(m: np.ndarray, rows, cols) -> np.ndarray:
-    """Extract the |rows| x |cols| submatrix, indices in ascending order."""
-    m = np.asarray(m, dtype=float)
-    ridx = _check_index_set(rows, m.shape[0], allow_empty=False)
-    cidx = _check_index_set(cols, m.shape[1], allow_empty=False)
-    return m[np.ix_(ridx, cidx)].copy()
 
 
 def _eliminate(mt: np.ndarray, rhs: np.ndarray):

@@ -72,35 +72,80 @@ class SolveTrace:
     history: tuple[TraceStep, ...]
 
 
-def _linear_step(net: Network, stable_rows, overflow_rows) -> np.ndarray:
-    """Solve rates = alpha + mu @ P_(rest) + rates @ P_(stable) + (rates - mu) @ Q_(overflow).
+def _pattern_system(net: Network, stable_mask, overflow_mask):
+    """Linearize the overflow equation for one stable/overflow pattern.
 
-    ``stable_rows`` selects the rows of P whose output is the unknown
-    rate; remaining rows run at capacity.  ``overflow_rows`` selects the
-    rows of Q with linear (not clipped) overflow terms.
+    Returns (system, rhs) with ``rates @ system = rhs`` equivalent to
+    rates = alpha + mu @ P_(rest) + rates @ P_(stable) + (rates - mu) @ Q_(overflow):
+    rows of P in ``stable_mask`` route the unknown rate, the remaining
+    rows run at capacity, and rows of Q in ``overflow_mask`` carry linear
+    (not clipped) overflow terms.
     """
-    n = net.n
-    stable_mask = np.zeros(n, dtype=bool)
-    stable_mask[list(stable_rows)] = True
-    overflow_mask = np.zeros(n, dtype=bool)
-    overflow_mask[list(overflow_rows)] = True
-
     coeff = np.where(stable_mask[:, None], net.p, 0.0) + np.where(
         overflow_mask[:, None], net.q, 0.0
     )
-    system = np.eye(n) - coeff
+    system = np.eye(net.n) - coeff
     rhs = (
         net.alpha
         + (np.where(~stable_mask, net.mu, 0.0)) @ net.p
         - (np.where(overflow_mask, net.mu, 0.0)) @ net.q
     )
-    result = solve_left(system, rhs)
-    if result.status is not SolveStatus.UNIQUE:
-        raise SingularInnerSystemError(
-            f"inner system is {result.status.value} for stable rows "
-            f"{sorted(stable_rows)} and overflow rows {sorted(overflow_rows)}"
-        )
-    return result.x
+    return system, rhs
+
+
+def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int):
+    """The stable-set growth iteration with a fixed overloaded set.
+
+    Starting from an empty stable set, each pass solves the pattern
+    system with the current stable set and linear overflow rows for
+    ``overloaded``, then re-derives the stable set among the other nodes
+    from the result, until the set stops changing.  Returns one
+    (rates, stable) pair per linear solve, or None when ``budget`` solves
+    do not settle the set.  With an empty overloaded set this is the
+    Goodman-Massey iteration.
+    """
+    n = net.n
+    overflow_mask = np.zeros(n, dtype=bool)
+    overflow_mask[list(overloaded)] = True
+    stable: frozenset[int] = frozenset()
+    pairs = []
+    for _ in range(budget):
+        stable_mask = np.zeros(n, dtype=bool)
+        stable_mask[list(stable)] = True
+        result = solve_left(*_pattern_system(net, stable_mask, overflow_mask))
+        if result.status is not SolveStatus.UNIQUE:
+            raise SingularInnerSystemError(
+                f"inner system is {result.status.value} for stable rows "
+                f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
+            )
+        below = (result.x < net.mu - STABILITY_MARGIN) & ~overflow_mask
+        new_stable = frozenset(int(i) for i in np.flatnonzero(below))
+        pairs.append((result.x, new_stable))
+        if new_stable == stable:
+            return pairs
+        stable = new_stable
+    return None
+
+
+def _goodman_massey_pass(net: Network):
+    """The Goodman-Massey iteration: at most one linear solve per node
+    plus a confirming solve (n + 2 allowed).  Returns the loop's pairs."""
+    pairs = _stable_set_loop(net, frozenset(), net.n + 2)
+    if pairs is None:
+        raise NonConvergenceError("stable-set iteration failed to settle")
+    return pairs
+
+
+def _goodman_massey_trace(net: Network, pairs) -> SolveTrace:
+    """Label a Goodman-Massey pass: one outer iteration per solve."""
+    everyone = frozenset(range(net.n))
+    steps = tuple(
+        TraceStep(outer=k, inner=1, rates=rates, stable=stable, unstable=everyone - stable)
+        for k, (rates, stable) in enumerate(pairs, 1)
+    )
+    return SolveTrace(
+        outer_iterations=len(steps), inner_iterations_total=len(steps), history=steps
+    )
 
 
 def solve_jackson(net: Network) -> TrafficSolution:
@@ -128,44 +173,6 @@ def solve_jackson(net: Network) -> TrafficSolution:
     )
 
 
-def _goodman_massey_loop(net: Network):
-    """The stable-set growth iteration for the capacity-clipped equation.
-
-    Starting from an empty stable set, each pass solves the linear
-    equation with the current set and re-derives the stable set from the
-    result, until the set stops changing.  Returns (rates, trace).
-    """
-    n = net.n
-    stable: frozenset[int] = frozenset()
-    steps: list[TraceStep] = []
-    rates = None
-    for k in range(1, n + 3):
-        rates = _linear_step(net, stable_rows=stable, overflow_rows=())
-        new_stable = frozenset(
-            int(i) for i in np.flatnonzero(rates < net.mu - STABILITY_MARGIN)
-        )
-        steps.append(
-            TraceStep(
-                outer=k,
-                inner=1,
-                rates=rates,
-                stable=new_stable,
-                unstable=frozenset(range(n)) - new_stable,
-            )
-        )
-        if new_stable == stable:
-            break
-        stable = new_stable
-    else:
-        raise NonConvergenceError("stable-set iteration failed to settle")
-    trace = SolveTrace(
-        outer_iterations=len(steps),
-        inner_iterations_total=len(steps),
-        history=tuple(steps),
-    )
-    return rates, trace
-
-
 def solve_goodman_massey(net: Network) -> tuple[TrafficSolution, SolveTrace]:
     """Goodman-Massey algorithm for rates = alpha + min(rates, mu) @ P.
 
@@ -176,7 +183,8 @@ def solve_goodman_massey(net: Network) -> tuple[TrafficSolution, SolveTrace]:
     isolated = isolated_classes(net)
     if isolated:
         raise IsolatedClassError(isolated)
-    rates, trace = _goodman_massey_loop(net)
+    pairs = _goodman_massey_pass(net)
+    rates = pairs[-1][0]
     stable, unstable = classify_nodes(rates, net.mu)
     solution = TrafficSolution(
         rates=rates,
@@ -185,7 +193,7 @@ def solve_goodman_massey(net: Network) -> tuple[TrafficSolution, SolveTrace]:
         residual=residual(net, rates, Equation.GOODMAN_MASSEY),
         equation=Equation.GOODMAN_MASSEY,
     )
-    return solution, trace
+    return solution, _goodman_massey_trace(net, pairs)
 
 
 def solve_overflow(
@@ -200,79 +208,67 @@ def solve_overflow(
     pseudocode exactly.
 
     Unless ``best_effort`` is set, the spectral uniqueness condition is
-    verified first and a non-holding verdict raises
-    ConditionNotVerifiedError.  In best-effort mode the iteration runs
-    under a cap of n**2 + 1 linear solves and the result is only returned
-    if its residual certifies it.
+    verified against the first outer pass, which is the Goodman-Massey
+    solve, and a non-holding verdict raises ConditionNotVerifiedError.
+    In best-effort mode the iteration runs under a cap of n**2 + 1 linear
+    solves and the result is only returned if its residual certifies it.
 
     When Q is exactly zero the equation coincides with the
-    capacity-clipped one, and by default the solver delegates to the
-    Goodman-Massey loop, producing an identical iteration sequence and
-    trace.  Pass ``delegate_zero_overflow=False`` to force the nested
-    loops even then (useful for iteration-count studies: the outer loop
-    then spends one extra pass confirming the overloaded set).
+    capacity-clipped one, and by default the solver returns that first
+    pass as the Goodman-Massey solve, with an identical iteration
+    sequence and trace.  Pass ``delegate_zero_overflow=False`` to force
+    the nested loops even then (useful for iteration-count studies: the
+    outer loop then spends one extra pass confirming the overloaded set).
     """
     isolated = isolated_classes(net)
     if isolated:
         raise IsolatedClassError(isolated)
 
+    n = net.n
+    cap = n * n + 1
+    delegate = delegate_zero_overflow and not np.any(net.q)
+    # A checked or delegated solve needs pass 1 to be the Goodman-Massey
+    # solve, errors included; a best-effort overflow solve spends its cap.
+    if best_effort and not delegate:
+        pairs = _stable_set_loop(net, frozenset(), cap)
+    else:
+        pairs = _goodman_massey_pass(net)
     if not best_effort:
-        gm_solution, _ = solve_goodman_massey(net)
-        verdict = check_overflow_condition(net, gm_solution.unstable)
+        _, gm_unstable = classify_nodes(pairs[-1][0], net.mu)
+        verdict = check_overflow_condition(net, gm_unstable)
         if not verdict.holds():
             raise ConditionNotVerifiedError(verdict)
 
-    n = net.n
-    if delegate_zero_overflow and not np.any(net.q):
-        rates, trace = _goodman_massey_loop(net)
+    if delegate:
+        rates, trace = pairs[-1][0], _goodman_massey_trace(net, pairs)
     else:
-        cap = n * n + 1
-        total = 0
         overloaded: frozenset[int] = frozenset()
         steps: list[TraceStep] = []
-        rates = None
-        kappa = 0
-        while True:
-            kappa += 1
-            if kappa > n + 2:
-                raise NonConvergenceError("overloaded-set iteration failed to settle")
-            candidates = frozenset(range(n)) - overloaded
-            stable: frozenset[int] = frozenset()
-            ell = 0
-            while True:
-                ell += 1
-                total += 1
-                if total > cap:
-                    raise NonConvergenceError(
-                        f"exceeded iteration cap {cap} without reaching a fixed point"
-                    )
-                rates = _linear_step(net, stable_rows=stable, overflow_rows=overloaded)
-                new_stable = frozenset(
-                    int(i)
-                    for i in np.flatnonzero(rates < net.mu - STABILITY_MARGIN)
-                    if i in candidates
+        for kappa in range(1, n + 3):
+            if kappa > 1:
+                pairs = _stable_set_loop(net, overloaded, cap - len(steps))
+            # Pass 1 may have run under the Goodman-Massey budget of n + 2
+            # solves, which exceeds the cap when n = 1.
+            if pairs is None or len(steps) + len(pairs) > cap:
+                raise NonConvergenceError(
+                    f"exceeded iteration cap {cap} without reaching a fixed point"
                 )
-                steps.append(
-                    TraceStep(
-                        outer=kappa,
-                        inner=ell,
-                        rates=rates,
-                        stable=new_stable,
-                        unstable=overloaded,
-                    )
-                )
-                if new_stable == stable:
-                    break
-                stable = new_stable
+            steps.extend(
+                TraceStep(outer=kappa, inner=ell, rates=r, stable=st, unstable=overloaded)
+                for ell, (r, st) in enumerate(pairs, 1)
+            )
+            rates = pairs[-1][0]
             new_overloaded = frozenset(
                 int(i) for i in np.flatnonzero(rates >= net.mu - STABILITY_MARGIN)
             )
             if new_overloaded == overloaded:
                 break
             overloaded = new_overloaded
+        else:
+            raise NonConvergenceError("overloaded-set iteration failed to settle")
         trace = SolveTrace(
             outer_iterations=kappa,
-            inner_iterations_total=total,
+            inner_iterations_total=len(steps),
             history=tuple(steps),
         )
 
@@ -459,15 +455,7 @@ def enumerate_solutions(net: Network) -> OracleVerdict:
         stable_set = frozenset(i for i in range(n) if mask >> i & 1)
         stable_mask = np.zeros(n, dtype=bool)
         stable_mask[sorted(stable_set)] = True
-        coeff = np.where(stable_mask[:, None], net.p, 0.0) + np.where(
-            ~stable_mask[:, None], net.q, 0.0
-        )
-        system = np.eye(n) - coeff
-        rhs = (
-            net.alpha
-            + (np.where(~stable_mask, net.mu, 0.0)) @ net.p
-            - (np.where(~stable_mask, net.mu, 0.0)) @ net.q
-        )
+        system, rhs = _pattern_system(net, stable_mask, ~stable_mask)
         result = solve_left(system, rhs)
 
         if result.status is SolveStatus.UNIQUE:

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._graph import strongly_connected_components
 from .linalg import has_stochastic_class, spectral_radius
-from .network import ROW_SUM_TOL, Network
+from .network import ROW_SUM_TOL, Network, classify_nodes
 
 #: Strict-inequality margin for spectral comparisons against 1.
 RADIUS_MARGIN = 1e-9
@@ -256,10 +256,10 @@ def condition_report(net: Network) -> ConditionReport:
     """Assemble the full condition report for a network.
 
     The overloaded set of the no-overflow solution is computed with the
-    Goodman-Massey solver when the network is NI; otherwise the spectral
-    verdict is "unknown".
+    Goodman-Massey iteration when the network is NI; otherwise the
+    spectral verdict is "unknown".
     """
-    from .solvers import solve_goodman_massey
+    from .solvers import _goodman_massey_pass
 
     dec = characterize_classes(net)
     ni = not any(dec.isolated)
@@ -276,12 +276,11 @@ def condition_report(net: Network) -> ConditionReport:
             gm_unstable=frozenset(),
             decomposition=dec,
         )
-    solution, _ = solve_goodman_massey(net)
-    verdict = check_overflow_condition(net, solution.unstable)
+    _, gm_unstable = classify_nodes(_goodman_massey_pass(net)[-1][0], net.mu)
     return ConditionReport(
         non_isolated=True,
         filled_or_drained=fd,
-        overflow_condition=verdict,
-        gm_unstable=solution.unstable,
+        overflow_condition=check_overflow_condition(net, gm_unstable),
+        gm_unstable=gm_unstable,
         decomposition=dec,
     )

@@ -77,6 +77,20 @@ def check_overflow_trace(trace, n):
         assert np.all(last_of_pass[b] >= last_of_pass[a] - 1e-9)
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test's duration; returns the list that
+    gets one entry per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def traces_identical(t1, t2):
     if (
         t1.outer_iterations != t2.outer_iterations

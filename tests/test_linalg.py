@@ -6,50 +6,11 @@ from trafficflow import (
     gen_example3,
     gen_example4,
     has_stochastic_class,
-    mask_rows,
     solve_left,
     spectral_radius,
-    submatrix,
 )
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-
-
-def test_mask_rows_full_and_empty():
-    m = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(mask_rows(m, range(3)), m)
-    assert np.array_equal(mask_rows(m, []), np.zeros((3, 3)))
-
-
-def test_mask_rows_combination_reaches_doubly_stochastic_matrix():
-    net = gen_example4(1.0)
-    combined = mask_rows(net.p, [2]) + mask_rows(net.q, [0, 1])
-    assert np.array_equal(combined, EQ12)
-
-
-def test_mask_rows_out_of_range():
-    with pytest.raises(ValueError):
-        mask_rows(np.zeros((2, 2)), [2])
-
-
-def test_submatrix_identity_selection():
-    m = np.arange(16.0).reshape(4, 4)
-    assert np.array_equal(submatrix(m, range(4), range(4)), m)
-
-
-def test_submatrix_single_entry():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(submatrix(m, [0], [1]), [[2.0]])
-
-
-def test_submatrix_second_class_block_of_example3():
-    block = submatrix(gen_example3().p, [2, 3], [2, 3])
-    assert np.array_equal(block, [[0.0, 0.5], [1.0, 0.0]])
-
-
-def test_submatrix_rejects_empty_selection():
-    with pytest.raises(ValueError):
-        submatrix(np.zeros((2, 2)), [], [0])
 
 
 def test_solve_left_identity():
@@ -141,7 +102,9 @@ def test_spectral_radius_monotone_under_row_masking():
         n = int(rng.integers(2, 8))
         m = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
         rows = [i for i in range(n) if rng.random() < 0.5]
-        assert spectral_radius(mask_rows(m, rows)) <= spectral_radius(m) + 1e-9
+        masked = np.zeros_like(m)
+        masked[rows] = m[rows]
+        assert spectral_radius(masked) <= spectral_radius(m) + 1e-9
 
 
 def test_spectral_radius_permutation_invariant():

@@ -4,12 +4,16 @@ from helpers import (
     check_gm_trace,
     check_trace,
     corpus,
+    count_calls,
     first_solve_producing,
     traces_identical,
     zero_overflow,
 )
 
+import trafficflow.solvers
+import trafficflow.structure
 from trafficflow import (
+    CellGridSpec,
     ConditionNotVerifiedError,
     Equation,
     IsolatedClassError,
@@ -17,6 +21,7 @@ from trafficflow import (
     OracleSizeError,
     SpectralRadiusAtLeastOneError,
     enumerate_solutions,
+    gen_example1,
     gen_example2,
     gen_example3,
     gen_example4,
@@ -141,6 +146,30 @@ def test_overflow_traces_and_lower_bound_on_corpus():
         assert solution.residual < 1e-9
         assert np.all(solution.rates >= gm_solution.rates - 1e-9)
         check_trace(net, trace)
+        # The checked and best-effort paths share the first outer pass.
+        _, best_effort_trace = solve_overflow(net, best_effort=True)
+        assert traces_identical(trace, best_effort_trace)
+
+
+def test_checked_overflow_repeats_no_solve(monkeypatch):
+    # The condition is checked against the first outer pass, so a checked
+    # solve makes one linear solve per trace step and characterizes the
+    # classes once.
+    nets = corpus(6, seed_base=700) + [
+        zero_overflow(gen_random(7, seed=3)),
+        gen_example1(CellGridSpec(m=2, delta=0.5, epsilon=0.5)),
+        gen_example1(CellGridSpec(m=3, delta=1.0, epsilon=0.2)),
+    ]
+    solves = count_calls(monkeypatch, trafficflow.solvers, "solve_left")
+    characterizations = count_calls(
+        monkeypatch, trafficflow.structure, "characterize_classes"
+    )
+    for net in nets:
+        solves.clear()
+        characterizations.clear()
+        _, trace = solve_overflow(net)
+        assert len(solves) == trace.inner_iterations_total
+        assert len(characterizations) == 1
 
 
 def test_overflow_permutation_equivariant():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from helpers import count_calls
 
+import trafficflow.structure
 from trafficflow import (
     CellGridSpec,
     ConditionStatus,
@@ -17,7 +19,6 @@ from trafficflow import (
     make_network,
     solve_goodman_massey,
     spectral_radius,
-    mask_rows,
 )
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
@@ -153,10 +154,10 @@ def test_overflow_condition_witness_on_all_free_nodes():
     assert verdict.status is ConditionStatus.FAILS
     assert verdict.witness == frozenset({2})
     assert verdict.radius == pytest.approx(1.0, abs=1e-9)
-    recheck = spectral_radius(
-        mask_rows(net.p, verdict.witness)
-        + mask_rows(net.q, set(range(net.n)) - verdict.witness)
-    )
+    witness = sorted(verdict.witness)
+    mixed = net.q.copy()
+    mixed[witness] = net.p[witness]
+    recheck = spectral_radius(mixed)
     assert recheck >= 1 - 1e-9
 
 
@@ -165,6 +166,14 @@ def test_overflow_condition_report_for_boundary_network():
     assert report.gm_unstable == frozenset({0, 1})
     assert report.overflow_condition.status is ConditionStatus.FAILS
     assert report.overflow_condition.witness == frozenset({2})
+
+
+def test_condition_report_characterizes_classes_once(monkeypatch):
+    calls = count_calls(monkeypatch, trafficflow.structure, "characterize_classes")
+    for net in (gen_example4(1.0), gen_example3(), gen_random(8, seed=11)):
+        calls.clear()
+        condition_report(net)
+        assert len(calls) == 1
 
 
 def test_overflow_condition_agrees_with_non_isolated_when_no_overflow():

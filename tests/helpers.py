@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from trafficflow import gen_random, make_network
+from trafficflow import (
+    ConditionStatus,
+    ConditionVerdict,
+    gen_random,
+    has_stochastic_class,
+    make_network,
+    spectral_radius,
+)
+from trafficflow.structure import RADIUS_MARGIN
 
 
 def corpus(count, seed_base=0, sizes=range(3, 11)):
@@ -89,6 +97,28 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def enumerate_overflow_condition(net, gm_unstable):
+    """Reference for the spectral stage of ``check_overflow_condition``.
+
+    Estimates the radius of every mix in mask order (bit k selects the
+    routing row of the k-th free node) and classifies the first one at
+    or above 1 - RADIUS_MARGIN; HOLDS when there is none.  Runs 2**free
+    spectral radii, so keep the free set small.
+    """
+    free = [i for i in range(net.n) if i not in gm_unstable]
+    for mask in range(2 ** len(free)):
+        subset = [free[k] for k in range(len(free)) if mask >> k & 1]
+        mixed = net.q.copy()
+        mixed[subset] = net.p[subset]
+        radius = spectral_radius(mixed)
+        if radius < 1.0 - RADIUS_MARGIN:
+            continue
+        certified = radius > 1.0 + RADIUS_MARGIN or has_stochastic_class(mixed)
+        status = ConditionStatus.FAILS if certified else ConditionStatus.MARGINAL
+        return ConditionVerdict(status=status, witness=frozenset(subset), radius=radius)
+    return ConditionVerdict(status=ConditionStatus.HOLDS)
 
 
 def traces_identical(t1, t2):

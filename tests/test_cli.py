@@ -1,6 +1,8 @@
 import csv
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from trafficflow import gen_example2, make_network, parse_network, save_network
 from trafficflow.cli import main
 
@@ -69,6 +71,29 @@ def test_check_reports_witness(tmp_path, capsys):
     assert "fails" in out
     assert "A={3}" in out
     assert "gm-unstable: {1, 2}" in out
+
+
+def test_check_reports_witness_on_23_free_nodes(tmp_path, capsys):
+    # Routing cycle 1 -> 2 -> ... -> 23 -> 24 -> 1 that node 24 drains at
+    # half rate, so only node 24 is overloaded; its overflow row closes
+    # the cycle at full rate, and only the mix of all 23 routing rows with
+    # it reaches radius 1.
+    n = 24
+    p = np.zeros((n, n))
+    q = np.zeros((n, n))
+    for i in range(n - 1):
+        p[i, i + 1] = 1.0
+    p[n - 1, 0] = 0.5
+    q[n - 1, 0] = 1.0
+    mu = np.full(n, 10.0)
+    mu[n - 1] = 0.5
+    path = tmp_path / "cycle.json"
+    save_network(make_network(np.eye(n)[0], mu, p, q), path)
+    code, out, _ = _run(capsys, "check", str(path))
+    assert code == 0
+    assert "gm-unstable: {24}" in out
+    witness = ", ".join(str(i) for i in range(1, n))
+    assert f"overflow condition: fails, witness A={{{witness}}}, radius=1\n" in out
 
 
 def test_check_grid_network_holds_by_sufficient_check(tmp_path, capsys):

@@ -151,6 +151,16 @@ def test_overflow_traces_and_lower_bound_on_corpus():
         assert traces_identical(trace, best_effort_trace)
 
 
+def test_checked_overflow_on_long_chains_estimates_two_radii_at_most(monkeypatch):
+    radii = count_calls(monkeypatch, trafficflow.structure, "spectral_radius")
+    for n in range(12, 25):
+        radii.clear()
+        solution, trace = solve_overflow(gen_example2(n))
+        assert trace.inner_iterations_total == 1 + n * (n + 1) // 2
+        assert solution.unstable == frozenset(range(n))
+        assert len(radii) <= 2
+
+
 def test_checked_overflow_repeats_no_solve(monkeypatch):
     # The condition is checked against the first outer pass, so a checked
     # solve makes one linear solve per trace step and characterizes the

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import count_calls
+from helpers import count_calls, enumerate_overflow_condition
 
 import trafficflow.structure
 from trafficflow import (
@@ -13,6 +13,7 @@ from trafficflow import (
     communicating_classes,
     condition_report,
     gen_example1,
+    gen_example2,
     gen_example3,
     gen_example4,
     gen_random,
@@ -201,15 +202,85 @@ def test_overflow_condition_marginal_near_radius_one():
     assert verdict.witness == frozenset({0})
 
 
-def test_overflow_condition_unknown_beyond_enumeration_limit():
+def test_overflow_condition_fails_on_stochastic_cycle_of_23_free_nodes():
     n = 23
     p = np.zeros((n, n))
     for i in range(n):
         p[i, (i + 1) % n] = 1.0  # one stochastic cycle, certificate-proof
     net = make_network(np.full(n, 0.01), np.ones(n), p)
     verdict = check_overflow_condition(net, frozenset())
-    assert verdict.status is ConditionStatus.UNKNOWN
-    assert "23 free nodes" in verdict.reason
+    assert verdict.status is ConditionStatus.FAILS
+    assert verdict.witness == frozenset(range(n))
+    assert verdict.radius == 1.0
+
+
+def _near_stochastic_family(rng, n):
+    """Network whose P and Q rows each have 0-3 random entries scaled to
+    sum to 1, 0.99, 0.9 or 0.6; single-entry rows summing to 1 make
+    stochastic cycles common."""
+    mats = []
+    for _ in range(2):
+        m = np.zeros((n, n))
+        for i in range(n):
+            k = int(rng.integers(0, min(n, 3) + 1))
+            if k:
+                cols = rng.choice(n, size=k, replace=False)
+                w = rng.random(k) + 0.05
+                m[i, cols] = w / w.sum() * rng.choice([1.0, 0.99, 0.9, 0.6])
+        mats.append(m)
+    return make_network(np.ones(n), np.ones(n), *mats)
+
+
+def _assert_agrees_with_enumeration(net, gm_unstable):
+    verdict = check_overflow_condition(net, gm_unstable)
+    expected = enumerate_overflow_condition(net, gm_unstable)
+    if verdict.status is ConditionStatus.HOLDS_SUFFICIENT:
+        assert expected.status is ConditionStatus.HOLDS
+    else:
+        assert (verdict.status, verdict.witness, verdict.radius) == (
+            expected.status,
+            expected.witness,
+            expected.radius,
+        )
+    return verdict.status
+
+
+def test_overflow_condition_agrees_with_enumeration():
+    rng = np.random.default_rng(53)
+    seen = set()
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        unstable = frozenset(int(i) for i in np.flatnonzero(rng.random(n) < 0.3))
+        seen.add(_assert_agrees_with_enumeration(_near_stochastic_family(rng, n), unstable))
+    assert seen >= {
+        ConditionStatus.HOLDS,
+        ConditionStatus.HOLDS_SUFFICIENT,
+        ConditionStatus.FAILS,
+    }
+    for n in range(2, 13):
+        net = gen_example2(n)
+        assert _assert_agrees_with_enumeration(net, condition_report(net).gm_unstable) in (
+            ConditionStatus.HOLDS,
+            ConditionStatus.HOLDS_SUFFICIENT,
+        )
+    triangle = gen_example4(1.0)
+    for unstable in (frozenset(), frozenset({0, 1})):
+        assert _assert_agrees_with_enumeration(triangle, unstable) is ConditionStatus.FAILS
+    self_loop = make_network([0.0], [1.0], [[1.0 - 1e-10]])
+    assert _assert_agrees_with_enumeration(self_loop, frozenset()) is ConditionStatus.MARGINAL
+
+
+def test_overflow_condition_on_long_chains():
+    # The 2-cycle between nodes 1 and 2 weighs 1 - 2**-(n+1): radius
+    # 1 - 2**-(n+2) is inside the margin at n = 28 and rounds to a
+    # stochastic block at n = 40.
+    verdict = condition_report(gen_example2(28)).overflow_condition
+    assert verdict.status is ConditionStatus.MARGINAL
+    assert verdict.witness == frozenset({0})
+    verdict = condition_report(gen_example2(40)).overflow_condition
+    assert verdict.status is ConditionStatus.FAILS
+    assert verdict.witness == frozenset({0})
+    assert verdict.radius == 1.0
 
 
 def test_condition_report_without_non_isolated_is_unknown():

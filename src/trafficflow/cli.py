@@ -12,6 +12,7 @@ non-convergence under best effort.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -129,9 +130,10 @@ def _heatmap_point(task):
 
 
 def _grid_ticks(step: float) -> list[float]:
-    count = int(round(1.0 / step))
-    ticks = [min(k * step, 1.0) for k in range(count + 1)]
-    return [t for t in ticks if t <= 1.0]
+    """0, step, 2*step, ... and a last tick at 1; the tolerance keeps a
+    step that divides 1 up to rounding from adding a duplicate tick."""
+    count = math.ceil(1.0 / step - 1e-9)
+    return [min(k * step, 1.0) for k in range(count + 1)]
 
 
 def _write_svg(path, deltas, epsilons, fractions) -> None:

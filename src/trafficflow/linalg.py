@@ -33,7 +33,6 @@ class SolveStatus(enum.Enum):
 class LinearSolveResult:
     status: SolveStatus
     x: np.ndarray | None
-    condition_estimate: float
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
@@ -46,26 +45,24 @@ def _check_square(m: np.ndarray) -> np.ndarray:
 def _eliminate(mt: np.ndarray, rhs: np.ndarray):
     """Gaussian elimination with scaled partial pivoting on ``mt y = rhs``.
 
-    Returns (solution, pivots) or (None, pivots) when a pivot falls
-    below PIVOT_TOL relative to its row scale.
+    Returns the solution, or None when a pivot falls below PIVOT_TOL
+    relative to its row scale.
     """
     n = mt.shape[0]
     a = mt.copy()
     b = rhs.copy()
     scale = np.max(np.abs(a), axis=1)
-    pivots = []
     for k in range(n):
         col = np.abs(a[k:, k])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(scale[k:] > 0, col / scale[k:], 0.0)
         p = k + int(np.argmax(ratios))
         if abs(a[p, k]) <= PIVOT_TOL * max(scale[p], np.finfo(float).tiny):
-            return None, pivots
+            return None
         if p != k:
             a[[k, p]] = a[[p, k]]
             b[[k, p]] = b[[p, k]]
             scale[[k, p]] = scale[[p, k]]
-        pivots.append(abs(a[k, k]))
         if k + 1 < n:
             factors = a[k + 1 :, k] / a[k, k]
             a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
@@ -73,7 +70,7 @@ def _eliminate(mt: np.ndarray, rhs: np.ndarray):
     x = np.empty(n)
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x, pivots
+    return x
 
 
 def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
@@ -92,8 +89,8 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
 
     if n == 0:
-        return LinearSolveResult(status=SolveStatus.UNIQUE, x=b.copy(), condition_estimate=1.0)
-    x, pivots = _eliminate(a.T, b)
+        return LinearSolveResult(status=SolveStatus.UNIQUE, x=b.copy())
+    x = _eliminate(a.T, b)
     bound = CONSISTENCY_TOL * (1.0 + float(np.max(np.abs(b))))
     if x is None:
         candidate, *_ = np.linalg.lstsq(a.T, b, rcond=None)
@@ -103,17 +100,16 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
             if res <= bound
             else SolveStatus.SINGULAR_INCONSISTENT
         )
-        return LinearSolveResult(status=status, x=None, condition_estimate=math.inf)
+        return LinearSolveResult(status=status, x=None)
 
     res = float(np.max(np.abs(x @ a - b)))
     if res > bound:
         # One pass of iterative refinement; these systems are rarely this
         # ill-conditioned, so the extra elimination is acceptable.
-        dx, _ = _eliminate(a.T, b - x @ a)
+        dx = _eliminate(a.T, b - x @ a)
         if dx is not None:
             x = x + dx
-    cond = max(pivots) / min(pivots) if pivots else 1.0
-    return LinearSolveResult(status=SolveStatus.UNIQUE, x=x, condition_estimate=cond)
+    return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
 
 
 def has_stochastic_class(m: np.ndarray) -> bool:

@@ -336,14 +336,11 @@ class OracleVerdict:
     direction_note: str | None = None
 
 
-def _pattern_consistent(rates, mu, stable_set) -> bool:
-    for i in range(len(mu)):
-        if i in stable_set:
-            if rates[i] > mu[i] + PATTERN_SLACK:
-                return False
-        elif rates[i] < mu[i] - PATTERN_SLACK:
-            return False
-    return True
+def _region(mu, stable_mask, slack=PATTERN_SLACK):
+    """A pattern's region as ``sign * x <= bound``: stable nodes at most
+    ``slack`` above capacity, the others at most ``slack`` below it."""
+    sign = np.where(stable_mask, 1.0, -1.0)
+    return sign, sign * mu + slack
 
 
 def _null_space(mt: np.ndarray) -> np.ndarray:
@@ -354,34 +351,21 @@ def _null_space(mt: np.ndarray) -> np.ndarray:
     return null_rows
 
 
-def _interval_for_line(x0, v, mu, stable_set, slack=PATTERN_SLACK):
-    """Feasible t-interval of x0 + t*v against the pattern's region."""
-    lo, hi = -math.inf, math.inf
-    for i in range(len(mu)):
-        if i in stable_set:
-            # x0_i + t v_i <= mu_i + slack
-            c = mu[i] + slack - x0[i]
-            if v[i] > 1e-14:
-                hi = min(hi, c / v[i])
-            elif v[i] < -1e-14:
-                lo = max(lo, c / v[i])
-            elif c < 0:
-                return None
-        else:
-            # x0_i + t v_i >= mu_i - slack
-            c = mu[i] - slack - x0[i]
-            if v[i] > 1e-14:
-                lo = max(lo, c / v[i])
-            elif v[i] < -1e-14:
-                hi = min(hi, c / v[i])
-            elif c > 0:
-                return None
+def _interval_for_line(x0, v, sign, bound):
+    """Feasible t-interval of x0 + t*v against the region sign * x <= bound."""
+    a = sign * v
+    room = bound - sign * x0
+    up, down = a > 1e-14, a < -1e-14
+    if np.any(room[~(up | down)] < 0):
+        return None
+    hi = float(np.min(room[up] / a[up], initial=math.inf))
+    lo = float(np.max(room[down] / a[down], initial=-math.inf))
     if lo > hi:
         return None
     return lo, hi
 
 
-def _affine_region_points(x0, basis, mu, stable_set):
+def _affine_region_points(x0, basis, mu, stable_mask):
     """Feasibility of {x0 + t @ basis} against the pattern region.
 
     Returns (low_point, high_point) extremal along the coordinate sum, or
@@ -389,14 +373,16 @@ def _affine_region_points(x0, basis, mu, stable_set):
     interval arithmetic; higher dimensions fall back to linear programs.
     """
     k = basis.shape[0]
+    sign, bound = _region(mu, stable_mask)
     if k == 1:
-        interval = _interval_for_line(x0, basis[0], mu, stable_set)
+        interval = _interval_for_line(x0, basis[0], sign, bound)
         if interval is None:
             return None
         # Slack decides feasibility; the reported endpoints come from the
         # unslacked boundary when that interval is nonempty, so boundary
         # solutions land exactly on the capacity values.
-        tight = _interval_for_line(x0, basis[0], mu, stable_set, slack=0.0)
+        _, tight_bound = _region(mu, stable_mask, slack=0.0)
+        tight = _interval_for_line(x0, basis[0], sign, tight_bound)
         lo, hi = tight if tight is not None else interval
         t_a = lo if math.isfinite(lo) else (hi - 1.0 if math.isfinite(hi) else 0.0)
         t_b = hi if math.isfinite(hi) else t_a + 1.0
@@ -406,25 +392,18 @@ def _affine_region_points(x0, basis, mu, stable_set):
 
     from scipy.optimize import linprog
 
-    n = len(mu)
-    a_ub, b_ub = [], []
-    for i in range(n):
-        if i in stable_set:
-            a_ub.append(basis[:, i])
-            b_ub.append(mu[i] + PATTERN_SLACK - x0[i])
-        else:
-            a_ub.append(-basis[:, i])
-            b_ub.append(x0[i] - (mu[i] - PATTERN_SLACK))
-    objective = basis @ np.ones(n)
+    a_ub = basis.T * sign[:, None]
+    b_ub = bound - sign * x0
+    objective = basis @ np.ones(len(mu))
     # Box bounds keep unbounded families finite; any point this far out
     # still witnesses a continuum.
     box = 1e6 * max(1.0, float(np.max(np.abs(x0))), float(np.max(mu)))
     points = []
-    for sign in (1.0, -1.0):
+    for direction in (1.0, -1.0):
         res = linprog(
-            sign * objective,
-            A_ub=np.array(a_ub),
-            b_ub=np.array(b_ub),
+            direction * objective,
+            A_ub=a_ub,
+            b_ub=b_ub,
             bounds=[(-box, box)] * k,
             method="highs",
         )
@@ -452,15 +431,14 @@ def enumerate_solutions(net: Network) -> OracleVerdict:
     candidates: list[np.ndarray] = []
     continuum = None
     for mask in range(2**n):
-        stable_set = frozenset(i for i in range(n) if mask >> i & 1)
-        stable_mask = np.zeros(n, dtype=bool)
-        stable_mask[sorted(stable_set)] = True
+        stable_mask = ((mask >> np.arange(n)) & 1).astype(bool)
+        sign, bound = _region(net.mu, stable_mask)
         system, rhs = _pattern_system(net, stable_mask, ~stable_mask)
         result = solve_left(system, rhs)
 
         if result.status is SolveStatus.UNIQUE:
             x = result.x
-            if _pattern_consistent(x, net.mu, stable_set):
+            if np.all(sign * x <= bound):
                 if residual(net, x, Equation.OVERFLOW) < ORACLE_RESIDUAL_TOL:
                     candidates.append(x)
             continue
@@ -472,7 +450,7 @@ def enumerate_solutions(net: Network) -> OracleVerdict:
         basis = _null_space(system.T)
         if basis.shape[0] == 0:
             continue
-        points = _affine_region_points(x0, basis, net.mu, stable_set)
+        points = _affine_region_points(x0, basis, net.mu, stable_mask)
         if points is None:
             continue
         low, high = points
@@ -481,13 +459,13 @@ def enumerate_solutions(net: Network) -> OracleVerdict:
         if float(np.max(np.abs(high - low))) > 1e-9 and ok_low and ok_high:
             if continuum is None:
                 direction = basis[0] / np.linalg.norm(basis[0])
-                continuum = (stable_set, low, direction)
-        elif ok_low and _pattern_consistent(low, net.mu, stable_set):
+                continuum = (stable_mask, low, direction)
+        elif ok_low and np.all(sign * low <= bound):
             candidates.append(low)
 
     checked = 2**n
     if continuum is not None:
-        pattern, base, direction = continuum
+        stable_mask, base, direction = continuum
         if direction.sum() < 0:
             direction = -direction
         note = "family base + t * [" + ", ".join(f"{v:.6g}" for v in direction) + "]"
@@ -495,7 +473,7 @@ def enumerate_solutions(net: Network) -> OracleVerdict:
             kind=OracleKind.CONTINUUM,
             solutions=(),
             patterns_checked=checked,
-            pattern=pattern,
+            pattern=frozenset(int(i) for i in np.flatnonzero(stable_mask)),
             base=base,
             direction_note=note,
         )

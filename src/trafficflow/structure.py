@@ -53,8 +53,24 @@ class ClassDecomposition:
     isolated: tuple[bool, ...]
     levels: tuple[int, ...]
 
+    @property
+    def non_isolated(self) -> bool:
+        """True iff no class is isolated (the NI condition).
 
-def characterize_classes(net: Network, classes=None) -> ClassDecomposition:
+        Equivalent to the capacity-clipped traffic equation having a
+        unique nonnegative solution.  The overflow matrix plays no part.
+        """
+        return not any(self.isolated)
+
+    @property
+    def filled_or_drained(self) -> bool:
+        """True iff every class is fillable or externally drained (the FD
+        condition).  Strictly stronger than NI: internal drainage does not
+        count here."""
+        return all(f or e for f, e in zip(self.fillable, self.ext_drainable))
+
+
+def characterize_classes(net: Network) -> ClassDecomposition:
     """Fill in the fillable / externally-drained / internally-drained /
     isolated flags for each communicating class of ``net.p``.
 
@@ -62,78 +78,45 @@ def characterize_classes(net: Network, classes=None) -> ClassDecomposition:
     routing steps) from a node with positive exogenous input; externally
     drained if some row in the class sums below 1; internally drained if
     some node routes to another class; isolated if none of the above.
+
+    All flags come from the class-access matrix (class a routes into
+    class b != a); classes arrive in topological order, so fillability
+    and the longest-path levels propagate in one forward sweep.
     """
-    canonical = communicating_classes(net.p)
-    if classes is not None and {frozenset(c) for c in classes} != set(canonical):
-        raise ValueError("class decomposition does not match the network")
-    classes = canonical
+    classes = communicating_classes(net.p)
+    k = len(classes)
+    label = np.empty(net.n, dtype=np.intp)
+    for c, cls in enumerate(classes):
+        label[list(cls)] = c
+    src, dst = np.nonzero(net.p > 0)
+    access = np.zeros((k, k), dtype=bool)
+    access[label[src], label[dst]] = True
+    np.fill_diagonal(access, False)
 
-    adjacency = net.p > 0
-    # Reachable set of the support of alpha, including the support itself.
-    reach = np.asarray(net.alpha, dtype=float) > 0
-    frontier = reach.copy()
-    while frontier.any():
-        nxt = adjacency[frontier].any(axis=0) & ~reach
-        reach |= nxt
-        frontier = nxt
-
-    row_sums = net.p.sum(axis=1)
-    label = {}
-    for k, cls in enumerate(classes):
-        for i in cls:
-            label[i] = k
-
-    fillable, ext_dr, int_dr, isolated = [], [], [], []
-    for k, cls in enumerate(classes):
-        idx = sorted(cls)
-        fillable.append(bool(reach[idx].any()))
-        ext_dr.append(bool(np.any(row_sums[idx] < 1.0 - ROW_SUM_TOL)))
-        internal = any(
-            net.p[i, j] > 0 for i in idx for j in range(net.n) if label[j] != k
-        )
-        int_dr.append(internal)
-        isolated.append(not fillable[k] and not ext_dr[k] and not int_dr[k])
-
-    # Longest-path depth over the class DAG; classes arrive topologically
-    # ordered, so a single sweep suffices.
-    levels = [0] * len(classes)
-    for k, cls in enumerate(classes):
-        for j in range(k + 1, len(classes)):
-            if any(net.p[i, t] > 0 for i in cls for t in classes[j]):
-                levels[j] = max(levels[j], levels[k] + 1)
+    int_dr = access.any(axis=1)
+    ext_dr = np.zeros(k, dtype=bool)
+    ext_dr[label[net.p.sum(axis=1) < 1.0 - ROW_SUM_TOL]] = True
+    fillable = np.zeros(k, dtype=bool)
+    fillable[label[net.alpha > 0]] = True
+    levels = np.zeros(k, dtype=int)
+    for c in range(k):
+        succ = access[c]
+        fillable[succ] |= fillable[c]
+        levels[succ] = np.maximum(levels[succ], levels[c] + 1)
 
     return ClassDecomposition(
         classes=tuple(classes),
-        fillable=tuple(fillable),
-        ext_drainable=tuple(ext_dr),
-        int_drainable=tuple(int_dr),
-        isolated=tuple(isolated),
-        levels=tuple(levels),
+        fillable=tuple(fillable.tolist()),
+        ext_drainable=tuple(ext_dr.tolist()),
+        int_drainable=tuple(int_dr.tolist()),
+        isolated=tuple((~(fillable | ext_dr | int_dr)).tolist()),
+        levels=tuple(levels.tolist()),
     )
 
 
 def isolated_classes(net: Network) -> list[frozenset[int]]:
     dec = characterize_classes(net)
     return [c for c, iso in zip(dec.classes, dec.isolated) if iso]
-
-
-def check_non_isolated(net: Network) -> bool:
-    """True iff no communicating class is isolated (the NI condition).
-
-    Equivalent to the capacity-clipped traffic equation having a unique
-    nonnegative solution.  The overflow matrix is ignored.
-    """
-    return not isolated_classes(net)
-
-
-def check_filled_or_drained(net: Network) -> bool:
-    """True iff every class is fillable or externally drained (the FD
-    condition).  Strictly stronger than NI: internal drainage does not
-    count here."""
-    dec = characterize_classes(net)
-    return all(
-        f or e for f, e in zip(dec.fillable, dec.ext_drainable)
-    )
 
 
 class ConditionStatus(enum.Enum):
@@ -295,25 +278,19 @@ def condition_report(net: Network) -> ConditionReport:
     from .solvers import _goodman_massey_pass
 
     dec = characterize_classes(net)
-    ni = not any(dec.isolated)
-    fd = all(f or e for f, e in zip(dec.fillable, dec.ext_drainable))
-    if not ni:
+    if dec.non_isolated:
+        _, gm_unstable = classify_nodes(_goodman_massey_pass(net)[-1][0], net.mu)
+        verdict = check_overflow_condition(net, gm_unstable)
+    else:
+        gm_unstable = frozenset()
         verdict = ConditionVerdict(
             status=ConditionStatus.UNKNOWN,
             reason="network has an isolated class; no-overflow solution undefined",
         )
-        return ConditionReport(
-            non_isolated=False,
-            filled_or_drained=fd,
-            overflow_condition=verdict,
-            gm_unstable=frozenset(),
-            decomposition=dec,
-        )
-    _, gm_unstable = classify_nodes(_goodman_massey_pass(net)[-1][0], net.mu)
     return ConditionReport(
-        non_isolated=True,
-        filled_or_drained=fd,
-        overflow_condition=check_overflow_condition(net, gm_unstable),
+        non_isolated=dec.non_isolated,
+        filled_or_drained=dec.filled_or_drained,
+        overflow_condition=verdict,
         gm_unstable=gm_unstable,
         decomposition=dec,
     )

@@ -28,8 +28,7 @@ from trafficflow import (
     CellGridSpec,
     ConditionStatus,
     OracleKind,
-    check_filled_or_drained,
-    check_non_isolated,
+    characterize_classes,
     check_overflow_condition,
     enumerate_solutions,
     gen_example1,
@@ -132,9 +131,10 @@ def test_criterion_2_worst_case_iteration_counts():
 def test_criterion_3_two_class_condition_split():
     net = gen_example3()
     failures = []
-    if check_filled_or_drained(net):
+    dec = characterize_classes(net)
+    if dec.filled_or_drained:
         failures.append("filled-or-drained unexpectedly holds")
-    if not check_non_isolated(net):
+    if not dec.non_isolated:
         failures.append("non-isolated unexpectedly fails")
     solution, _ = solve_goodman_massey(net)
     if not solution.residual < 1e-9:

@@ -61,6 +61,15 @@ def test_check_reports_condition_split(tmp_path, capsys):
     assert "FD: no" in out
     assert "NI: yes" in out
     assert "holds-by-sufficient-check" in out
+    # The unfed class {3, 4} drains through node 3 into {1, 2}, the only
+    # class with input, whose rows keep all traffic inside it; so {1, 2}
+    # sits one level below {3, 4}.
+    assert out.startswith(
+        "classes:\n"
+        "  C1 = {3, 4}  fillable=no ext-drained=no int-drained=yes isolated=no level=0\n"
+        "  C2 = {1, 2}  fillable=yes ext-drained=no int-drained=no isolated=no level=1\n"
+        "FD: no\n"
+    )
 
 
 def test_check_reports_witness(tmp_path, capsys):
@@ -168,6 +177,20 @@ def test_heatmap_outputs_are_consistent_and_deterministic(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "hm.csv").read_bytes() == (tmp_path / "hm2.csv").read_bytes()
     assert (tmp_path / "hm.svg").read_bytes() == (tmp_path / "hm2.svg").read_bytes()
+
+
+def test_heatmap_grid_reaches_one_when_step_does_not_divide_it(tmp_path, capsys):
+    prefix = tmp_path / "hm"
+    code, out, _ = _run(
+        capsys, "heatmap", "--m", "2", "--step", "0.3", "--out", str(prefix)
+    )
+    assert code == 0
+    assert "grid: 5 x 5" in out
+    with open(f"{prefix}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 25
+    assert max(float(row["delta"]) for row in rows) == 1.0
+    assert max(float(row["epsilon"]) for row in rows) == 1.0
 
 
 def test_heatmap_rejects_bad_grid(tmp_path, capsys):

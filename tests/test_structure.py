@@ -7,8 +7,6 @@ from trafficflow import (
     CellGridSpec,
     ConditionStatus,
     characterize_classes,
-    check_filled_or_drained,
-    check_non_isolated,
     check_overflow_condition,
     communicating_classes,
     condition_report,
@@ -21,6 +19,7 @@ from trafficflow import (
     solve_goodman_massey,
     spectral_radius,
 )
+from trafficflow.network import ROW_SUM_TOL
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
 
@@ -39,12 +38,19 @@ def test_classes_of_irreducible_matrix():
     assert communicating_classes(EQ12) == [frozenset({0, 1, 2})]
 
 
-def _closure_classes(m):
-    """Oracle: communicating classes via boolean transitive closure."""
+def _reachability(m):
+    """Oracle: reach[i, j] iff j is reachable from i in zero or more steps."""
     n = m.shape[0]
     reach = (m > 0) | np.eye(n, dtype=bool)
     for _ in range(n):
         reach = reach | (reach @ reach)
+    return reach
+
+
+def _closure_classes(m):
+    """Oracle: communicating classes via boolean transitive closure."""
+    n = m.shape[0]
+    reach = _reachability(m)
     groups = {}
     for i in range(n):
         key = frozenset(
@@ -102,7 +108,7 @@ def test_unfed_stochastic_cycle_is_isolated():
     net = make_network([0, 0], [1, 1], p)
     dec = characterize_classes(net)
     assert dec.isolated == (True,)
-    assert not check_non_isolated(net)
+    assert not dec.non_isolated
 
 
 def test_levels_are_access_depths():
@@ -122,17 +128,79 @@ def test_levels_are_access_depths():
             assert accessed
 
 
+def _class_flags_oracle(net, classes):
+    """Oracle: every ClassDecomposition field except the classes, read
+    off the definitions node by node, for the classes in the given order."""
+    fed = _reachability(net.p)[net.alpha > 0].any(axis=0)
+    row_sums = net.p.sum(axis=1)
+
+    def routes(src, dst):
+        return any(net.p[i, j] > 0 for i in src for j in dst)
+
+    def level(k):
+        # Longest chain of classes ending at class k, by plain recursion.
+        return max(
+            (
+                level(j) + 1
+                for j in range(len(classes))
+                if j != k and routes(classes[j], classes[k])
+            ),
+            default=0,
+        )
+
+    outside = [frozenset(range(net.n)) - cls for cls in classes]
+    fillable = tuple(bool(any(fed[i] for i in cls)) for cls in classes)
+    ext = tuple(
+        bool(any(row_sums[i] < 1.0 - ROW_SUM_TOL for i in cls)) for cls in classes
+    )
+    internal = tuple(routes(cls, rest) for cls, rest in zip(classes, outside))
+    return {
+        "fillable": fillable,
+        "ext_drainable": ext,
+        "int_drainable": internal,
+        "isolated": tuple(not (f or e or d) for f, e, d in zip(fillable, ext, internal)),
+        "levels": tuple(level(k) for k in range(len(classes))),
+    }
+
+
+def test_class_flags_match_closure_oracle():
+    # Sparse routing gives many classes; zero input on some nodes and rows
+    # rescaled to sum to 1 leave some closed classes unfed and undrained.
+    rng = np.random.default_rng(59)
+    isolated = multi_class = 0
+    for _ in range(160):
+        n = int(rng.integers(1, 10))
+        p = rng.random((n, n)) * (rng.random((n, n)) < 0.25)
+        sums = p.sum(axis=1)
+        full = (sums > 0) & (rng.random(n) < 0.6)
+        p[full] /= sums[full, None]
+        p[~full] *= 0.9 / np.maximum(sums[~full], 1.0)[:, None]
+        alpha = rng.random(n) * (rng.random(n) < 0.3)
+        net = make_network(alpha, np.ones(n), p)
+        dec = characterize_classes(net)
+        closure = _closure_classes(net.p)
+        assert set(dec.classes) == closure and len(dec.classes) == len(closure)
+        expected = _class_flags_oracle(net, dec.classes)
+        for field, value in expected.items():
+            assert getattr(dec, field) == value, field
+        isolated += sum(dec.isolated)
+        multi_class += len(dec.classes) > 1
+    assert isolated >= 10 and multi_class >= 100
+
+
 def test_condition_split_examples():
     e3 = gen_example3()
-    assert check_non_isolated(e3) and not check_filled_or_drained(e3)
-    assert check_non_isolated(gen_example4(1.0))
+    dec = characterize_classes(e3)
+    assert dec.non_isolated and not dec.filled_or_drained
+    assert characterize_classes(gen_example4(1.0)).non_isolated
 
 
 def test_filled_or_drained_implies_non_isolated():
     for seed in range(60):
         net = gen_random(3 + seed % 6, seed=seed)
-        if check_filled_or_drained(net):
-            assert check_non_isolated(net)
+        dec = characterize_classes(net)
+        if dec.filled_or_drained:
+            assert dec.non_isolated
 
 
 def test_non_isolated_invariant_under_relabeling():
@@ -146,7 +214,10 @@ def test_non_isolated_invariant_under_relabeling():
             net.p[np.ix_(perm, perm)],
             net.q[np.ix_(perm, perm)],
         )
-        assert check_non_isolated(net) == check_non_isolated(pnet)
+        assert (
+            characterize_classes(net).non_isolated
+            == characterize_classes(pnet).non_isolated
+        )
 
 
 def test_overflow_condition_witness_on_all_free_nodes():
@@ -183,7 +254,7 @@ def test_overflow_condition_agrees_with_non_isolated_when_no_overflow():
         net = make_network(base.alpha, base.mu, base.p)
         solution, _ = solve_goodman_massey(net)
         verdict = check_overflow_condition(net, solution.unstable)
-        assert verdict.holds() == check_non_isolated(net)
+        assert verdict.holds() == characterize_classes(net).non_isolated
 
 
 def test_overflow_condition_sufficient_for_strict_row_sums():
@@ -288,11 +359,6 @@ def test_condition_report_without_non_isolated_is_unknown():
     report = condition_report(make_network([0, 0], [1, 1], p))
     assert not report.non_isolated
     assert report.overflow_condition.status is ConditionStatus.UNKNOWN
-
-
-def test_characterize_rejects_mismatched_decomposition():
-    with pytest.raises(ValueError):
-        characterize_classes(gen_example3(), [frozenset({0, 1})])
 
 
 def test_overflow_condition_rejects_bad_unstable_set():

@@ -1,6 +1,7 @@
 """Dense linear-algebra kernels: left-sided linear solves with
-singularity classification, and spectral-radius estimation for
-nonnegative matrices.
+singularity classification, the Neumann test that decides whether a
+nonnegative matrix has spectral radius below 1 - RADIUS_MARGIN, and
+spectral-radius estimation for the radii that get reported.
 
 All vectors are row vectors, so solves have the form ``x @ A = b``.
 """
@@ -19,6 +20,8 @@ from ._graph import strongly_connected_components
 PIVOT_TOL = 1e-12
 #: Residual threshold separating consistent from inconsistent singular systems.
 CONSISTENCY_TOL = 1e-9
+#: Strict-inequality margin for spectral comparisons against 1.
+RADIUS_MARGIN = 1e-9
 #: Number of matrix squarings used for the spectral-radius estimate.
 _SQUARINGS = 64
 
@@ -80,7 +83,8 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     pivoting.  A unique solution is reported only when every pivot clears
     the relative threshold; otherwise the system is classified as
     singular-consistent or singular-inconsistent by the max-norm residual
-    of a least-squares candidate against CONSISTENCY_TOL * (1 + |b|).
+    of a least-squares candidate against CONSISTENCY_TOL * (1 + |b|); a
+    consistent system returns that candidate as ``x``.
     """
     a = _check_square(a_matrix)
     b = np.asarray(b, dtype=float)
@@ -94,13 +98,9 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     bound = CONSISTENCY_TOL * (1.0 + float(np.max(np.abs(b))))
     if x is None:
         candidate, *_ = np.linalg.lstsq(a.T, b, rcond=None)
-        res = float(np.max(np.abs(candidate @ a - b)))
-        status = (
-            SolveStatus.SINGULAR_CONSISTENT
-            if res <= bound
-            else SolveStatus.SINGULAR_INCONSISTENT
-        )
-        return LinearSolveResult(status=status, x=None)
+        if float(np.max(np.abs(candidate @ a - b))) > bound:
+            return LinearSolveResult(status=SolveStatus.SINGULAR_INCONSISTENT, x=None)
+        return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
 
     res = float(np.max(np.abs(x @ a - b)))
     if res > bound:
@@ -110,6 +110,25 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
         if dx is not None:
             x = x + dx
     return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
+
+
+def neumann_values(m: np.ndarray) -> np.ndarray | None:
+    """Decide whether the nonnegative matrix ``m`` has spectral radius
+    below s = 1 - RADIUS_MARGIN by solving ``(I - m/s) v = 1``.
+
+    When the radius is below s, the Neumann series gives
+    v = sum_k (m/s)^k 1 >= 1.  When it is s or more, the system is
+    singular or some v_i <= 0 (Collatz-Wielandt: v > 0 with
+    (m/s) v = v - 1 < v would bound the radius below s).  The midpoint
+    test v >= 1/2 separates the two cases, so an exact tie counts as
+    "not below".  Returns v when the radius is below s, None otherwise.
+    """
+    m = _check_square(m)
+    n = m.shape[0]
+    result = solve_left(np.eye(n) - m.T / (1.0 - RADIUS_MARGIN), np.ones(n))
+    if result.status is SolveStatus.UNIQUE and np.all(result.x >= 0.5):
+        return result.x
+    return None
 
 
 def has_stochastic_class(m: np.ndarray) -> bool:

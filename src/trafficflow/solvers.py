@@ -23,7 +23,7 @@ from .errors import (
     SingularInnerSystemError,
     SpectralRadiusAtLeastOneError,
 )
-from .linalg import SolveStatus, solve_left, spectral_radius
+from .linalg import SolveStatus, neumann_values, solve_left, spectral_radius
 from .network import (
     STABILITY_MARGIN,
     Equation,
@@ -32,7 +32,7 @@ from .network import (
     classify_nodes,
     residual,
 )
-from .structure import RADIUS_MARGIN, check_overflow_condition, isolated_classes
+from .structure import check_overflow_condition, isolated_classes
 
 #: Successful solves must satisfy this max-norm residual.
 RESIDUAL_TOL = 1e-9
@@ -151,13 +151,13 @@ def _goodman_massey_trace(net: Network, pairs) -> SolveTrace:
 def solve_jackson(net: Network) -> TrafficSolution:
     """Solve the open-network linear equation rates = alpha + rates @ P.
 
-    Requires the routing matrix's spectral radius to be strictly below 1;
-    the unique solution is then nonnegative.
+    Requires the routing matrix's spectral radius to be below
+    1 - RADIUS_MARGIN (the Neumann test); the unique solution is then
+    nonnegative.
     """
-    sigma = spectral_radius(net.p)
-    if sigma >= 1.0 - RADIUS_MARGIN:
+    if neumann_values(net.p) is None:
         raise SpectralRadiusAtLeastOneError(
-            f"routing matrix has spectral radius {sigma:.17g} >= 1"
+            f"routing matrix has spectral radius {spectral_radius(net.p):.17g} >= 1"
         )
     result = solve_left(np.eye(net.n) - net.p, net.alpha)
     if result.status is not SolveStatus.UNIQUE:
@@ -446,7 +446,7 @@ def enumerate_solutions(net: Network) -> OracleVerdict:
             continue
 
         # Singular but consistent: the solution family is affine.
-        x0, *_ = np.linalg.lstsq(system.T, rhs, rcond=None)
+        x0 = result.x
         basis = _null_space(system.T)
         if basis.shape[0] == 0:
             continue

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._graph import strongly_connected_components
-from .linalg import SolveStatus, has_stochastic_class, solve_left, spectral_radius
+from .linalg import RADIUS_MARGIN, has_stochastic_class, neumann_values, spectral_radius
 from .network import ROW_SUM_TOL, Network, classify_nodes
 
-#: Strict-inequality margin for spectral comparisons against 1.
-RADIUS_MARGIN = 1e-9
 #: Relative margin by which a row must beat the current one before
 #: policy iteration switches to it, so that rounding in two equal
 #: products cannot make the iteration cycle.
@@ -154,28 +152,22 @@ def _offending_selection(p, q, choosable, use_p):
 
     Rows marked ``choosable`` may take either matrix's row; the others
     keep the choice ``use_p`` gives them, which is also where the
-    iteration starts.  Each round evaluates the current mix B by solving
-    ``(I - B) v = 1``.  When every row mix has spectral radius below 1,
-    each evaluated v is at least 1 (Neumann series); a mix with radius 1
-    or more has a singular system or some v_i <= 0 (Collatz-Wielandt:
-    v > 0 with Bv = v - 1 < v would bound the radius below 1).  So an
-    evaluation failing the midpoint test v >= 1/2 is returned as an
-    offending selection.  Otherwise every choosable row switches to the
-    matrix whose row gives the larger product with v, only on a strict
-    improvement beyond a relative tie tolerance, which makes the values
-    increase and the iteration terminate.  When no row switches, v
-    solves ``v = 1 + max(P_i v, Q_i v)`` and every mix has radius below
-    1: None is returned.
+    iteration starts.  Each round evaluates the current mix B with
+    ``neumann_values``; a mix it finds not below 1 - RADIUS_MARGIN is
+    returned as an offending selection.  Otherwise every choosable row
+    switches to the matrix whose row gives the larger product with the
+    values v, only on a strict improvement beyond a relative tie
+    tolerance, which makes the values increase and the iteration
+    terminate.  When no row switches, v solves
+    ``v = 1 + max(P_i v, Q_i v) / (1 - RADIUS_MARGIN)`` and every mix has
+    radius below 1 - RADIUS_MARGIN: None is returned.
     """
     use_p = use_p.copy()
-    identity = np.eye(len(use_p))
-    ones = np.ones(len(use_p))
     while True:
-        mixed = np.where(use_p[:, None], p, q)
-        result = solve_left(identity - mixed.T, ones)
-        if result.status is not SolveStatus.UNIQUE or not np.all(result.x >= 0.5):
+        v = neumann_values(np.where(use_p[:, None], p, q))
+        if v is None:
             return use_p
-        pv, qv = p @ result.x, q @ result.x
+        pv, qv = p @ v, q @ v
         switch = choosable & np.where(
             use_p, qv > pv * (1.0 + _TIE_TOL), pv > qv * (1.0 + _TIE_TOL)
         )
@@ -193,20 +185,21 @@ def check_overflow_condition(net: Network, gm_unstable) -> ConditionVerdict:
     subsets A range over all subsets of its complement, including the
     empty set and the full complement.
 
-    Two stages: (a) sufficient certificates -- every selectable row
-    summing below 1 (max-norm bound), or the entrywise upper envelope of
-    all row mixes having radius below 1 (Perron-root monotonicity); (b)
-    Howard policy iteration on the mixes scaled by 1/(1 - RADIUS_MARGIN),
-    which decides whether some mix has radius at least 1 - RADIUS_MARGIN
-    with a few linear solves instead of one spectral radius per subset.  The mixes form a product family (each row is
-    chosen on its own), so the free nodes can be fixed one at a time,
-    from the highest index down, to the overflow row whenever an
-    offending mix remains and to the routing row otherwise; this yields
-    the first offending subset in mask order (bit k of the mask selects
-    the k-th free node) with one more policy iteration per free node.
-    The witness radius is then estimated once: above 1 + RADIUS_MARGIN
-    or certified by a stochastic block it is a "fails" verdict, otherwise
-    "marginal".
+    "Below 1" means below 1 - RADIUS_MARGIN, decided by the Neumann test
+    of ``neumann_values``; an exact tie is not below.  Two stages:
+    (a) sufficient certificates -- every selectable row summing below 1
+    (max-norm bound), or the entrywise upper envelope of all row mixes
+    passing the Neumann test (Perron-root monotonicity); (b) Howard policy
+    iteration, which decides whether some mix fails the Neumann test with
+    a few linear solves instead of one per subset.  The mixes form a
+    product family (each row is chosen on its own), so the free nodes
+    can be fixed one at a time, from the highest index down, to the
+    overflow row whenever an offending mix remains and to the routing row
+    otherwise; this yields the first offending subset in mask order (bit
+    k of the mask selects the k-th free node) with one more policy
+    iteration per free node.  The witness radius is the only one
+    estimated: above 1 + RADIUS_MARGIN or certified by a stochastic
+    block it is a "fails" verdict, otherwise "marginal".
     """
     unstable = frozenset(int(i) for i in gm_unstable)
     if any(i < 0 or i >= net.n for i in unstable):
@@ -222,16 +215,14 @@ def check_overflow_condition(net: Network, gm_unstable) -> ConditionVerdict:
     if worst_row < 1.0 - RADIUS_MARGIN:
         return ConditionVerdict(status=ConditionStatus.HOLDS_SUFFICIENT)
 
-    # Certificate 2: the entrywise upper envelope of all row mixes has
-    # radius below 1 (Perron-root monotonicity).
+    # Certificate 2: the entrywise upper envelope of all row mixes passes
+    # the Neumann test, so every mix does (Perron-root monotonicity).
     envelope = np.where(free[:, None], np.maximum(net.p, net.q), net.q)
-    if spectral_radius(envelope) < 1.0 - RADIUS_MARGIN:
+    if neumann_values(envelope) is not None:
         return ConditionVerdict(status=ConditionStatus.HOLDS_SUFFICIENT)
 
-    scale = 1.0 - RADIUS_MARGIN
-    p, q = net.p / scale, net.q / scale
     # The first improvement step from v = 1 picks the larger row sum.
-    offending = _offending_selection(p, q, free, free & (p_sums >= q_sums))
+    offending = _offending_selection(net.p, net.q, free, free & (p_sums >= q_sums))
     if offending is None:
         return ConditionVerdict(status=ConditionStatus.HOLDS)
 
@@ -241,7 +232,7 @@ def check_overflow_condition(net: Network, gm_unstable) -> ConditionVerdict:
         if offending[i]:
             trial = offending.copy()
             trial[i] = False
-            found = _offending_selection(p, q, choosable, trial)
+            found = _offending_selection(net.p, net.q, choosable, trial)
             if found is not None:
                 offending = found
 

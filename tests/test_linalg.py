@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trafficflow import (
     SolveStatus,
@@ -9,6 +12,7 @@ from trafficflow import (
     solve_left,
     spectral_radius,
 )
+from trafficflow.linalg import RADIUS_MARGIN, neumann_values
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
 
@@ -33,6 +37,9 @@ def test_solve_left_singular_classification():
     inconsistent = solve_left(system, np.array([2.0, 0.0, -1.0]))
     assert consistent.status is SolveStatus.SINGULAR_CONSISTENT
     assert inconsistent.status is SolveStatus.SINGULAR_INCONSISTENT
+    # The consistent system returns its least-squares candidate.
+    assert np.max(np.abs(consistent.x @ system - [1.0, 0.0, -1.0])) <= 1e-9 * 2.0
+    assert inconsistent.x is None
 
 
 def test_solve_left_residual_contract():
@@ -122,3 +129,51 @@ def test_stochastic_class_certificate():
     assert has_stochastic_class(gen_example3().p)
     assert not has_stochastic_class(gen_example4(1.0).p)
     assert not has_stochastic_class(np.zeros((2, 2)))
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    """Nonnegative n x n matrices, n <= 8, drawn to sit near the Neumann
+    boundary: sparse, reducible (upper triangular), stochastic blocks,
+    nilpotent shifts, and rows rescaled to sum near 1 - RADIUS_MARGIN."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["sparse", "reducible", "blocks", "nilpotent"]))
+    weights = draw(
+        arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0), fill=st.nothing())
+    )
+    mask = draw(arrays(np.bool_, (n, n), fill=st.nothing()))
+    m = weights * mask * draw(st.sampled_from([0.3, 1.0, 3.0]))
+    if kind == "reducible":
+        m = np.triu(m)
+    elif kind == "nilpotent":
+        m = np.triu(m + np.eye(n, k=1), k=1)
+    elif kind == "blocks":
+        # Stochastic diagonal blocks (a permutation plus the drawn weights,
+        # rows normalized), each scaled on its own, with sparse coupling
+        # from each block into the later ones.
+        cut = draw(st.integers(0, n))
+        m = np.triu(m) * 0.1
+        for lo, hi in ((0, cut), (cut, n)):
+            if hi > lo:
+                block = np.eye(hi - lo)[draw(st.permutations(range(hi - lo)))]
+                block = block + weights[lo:hi, lo:hi]
+                block /= block.sum(axis=1, keepdims=True)
+                m[lo:hi, lo:hi] = block * draw(st.sampled_from([0.5, 0.999, 1.0, 1.001]))
+    if draw(st.booleans()):
+        sums = m.sum(axis=1, keepdims=True)
+        delta = draw(st.sampled_from([-1e-3, -1e-5, -2e-6, 0.0, 2e-6, 1e-5, 1e-3]))
+        target = (1.0 - RADIUS_MARGIN) * (1.0 + delta)
+        m = np.divide(m * target, sums, out=np.zeros_like(m), where=sums > 0)
+    return m
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(nonnegative_matrices())
+def test_neumann_values_decide_radius_below_margin(m):
+    s = 1.0 - RADIUS_MARGIN
+    radius = float(np.max(np.abs(np.linalg.eigvals(m))))
+    v = neumann_values(m)
+    if v is not None:
+        assert np.all(v >= 1.0 - 1e-9)
+    if abs(radius - s) >= 1e-6:
+        assert (v is not None) == (radius < s)

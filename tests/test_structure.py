@@ -19,6 +19,7 @@ from trafficflow import (
     solve_goodman_massey,
     spectral_radius,
 )
+from trafficflow.linalg import RADIUS_MARGIN
 from trafficflow.network import ROW_SUM_TOL
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
@@ -271,6 +272,27 @@ def test_overflow_condition_marginal_near_radius_one():
     verdict = check_overflow_condition(net, frozenset())
     assert verdict.status is ConditionStatus.MARGINAL
     assert verdict.witness == frozenset({0})
+    # Every node overloaded leaves one mix, Q, whose rows of s/4 give it
+    # radius exactly s = 1 - RADIUS_MARGIN: a tie is not below the margin.
+    s = 1.0 - RADIUS_MARGIN
+    tie = make_network(np.ones(4), np.ones(4), np.zeros((4, 4)), np.full((4, 4), s / 4))
+    verdict = check_overflow_condition(tie, frozenset(range(4)))
+    assert verdict.status is ConditionStatus.MARGINAL
+    assert verdict.witness == frozenset()
+
+
+def test_overflow_condition_holds_when_envelope_chains_near_critical_classes():
+    # Every class of the envelope max(P, Q) has radius 1 - 2e-9, but its
+    # row 3 chains the self-loop of Q into the 2-cycle of Q through P, so
+    # its Neumann values reach about 1e18 and certificate 2 declines.  No
+    # single mix takes both entries of row 3, and policy iteration finds
+    # that the condition holds.
+    w = 1.0 - 2e-9
+    p = np.zeros((3, 3))
+    p[2, 0] = 1.0
+    q = np.array([[0, w, 0], [w, 0, 0], [0, 0, w]])
+    net = make_network(np.ones(3), np.ones(3), p, q)
+    assert check_overflow_condition(net, frozenset()).holds()
 
 
 def test_overflow_condition_fails_on_stochastic_cycle_of_23_free_nodes():

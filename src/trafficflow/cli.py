@@ -24,6 +24,7 @@ from .errors import (
     OracleSizeError,
     SingularInnerSystemError,
     SpectralRadiusAtLeastOneError,
+    _fmt_set,
 )
 from .generators import (
     CellGridSpec,
@@ -50,10 +51,6 @@ def _fmt(x: float) -> str:
 
 def _fmt_vector(v) -> str:
     return "[" + ", ".join(_fmt(float(x)) for x in v) + "]"
-
-
-def _fmt_set(s) -> str:
-    return "{" + ", ".join(str(i + 1) for i in sorted(s)) + "}"
 
 
 def _cmd_solve(args) -> int:

@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def _fmt_set(nodes) -> str:
+    """A node set as 1-based labels, e.g. ``{1, 2}``."""
+    return "{" + ", ".join(str(i + 1) for i in sorted(nodes)) + "}"
+
+
 class TrafficFlowError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -27,10 +32,7 @@ class IsolatedClassError(TrafficFlowError):
 
     def __init__(self, isolated_classes):
         self.isolated_classes = tuple(frozenset(c) for c in isolated_classes)
-        pretty = ", ".join(
-            "{" + ", ".join(str(i + 1) for i in sorted(c)) + "}"
-            for c in self.isolated_classes
-        )
+        pretty = ", ".join(_fmt_set(c) for c in self.isolated_classes)
         super().__init__(f"isolated classes present: {pretty}")
 
 

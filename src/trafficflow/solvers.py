@@ -23,15 +23,8 @@ from .errors import (
     SingularInnerSystemError,
     SpectralRadiusAtLeastOneError,
 )
-from .linalg import SolveStatus, neumann_values, solve_left, spectral_radius
-from .network import (
-    STABILITY_MARGIN,
-    Equation,
-    Network,
-    TrafficSolution,
-    classify_nodes,
-    residual,
-)
+from .linalg import RADIUS_MARGIN, SolveStatus, neumann_values, solve_left, spectral_radius
+from .network import Equation, Network, TrafficSolution, classify_nodes, residual
 from .structure import check_overflow_condition, isolated_classes
 
 #: Successful solves must satisfy this max-norm residual.
@@ -118,8 +111,7 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int):
                 f"inner system is {result.status.value} for stable rows "
                 f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
             )
-        below = (result.x < net.mu - STABILITY_MARGIN) & ~overflow_mask
-        new_stable = frozenset(int(i) for i in np.flatnonzero(below))
+        new_stable = classify_nodes(result.x, net.mu)[0] - overloaded
         pairs.append((result.x, new_stable))
         if new_stable == stable:
             return pairs
@@ -148,6 +140,18 @@ def _goodman_massey_trace(net: Network, pairs) -> SolveTrace:
     )
 
 
+def _solution(net: Network, rates, equation: Equation) -> TrafficSolution:
+    """The result for ``rates``: its stability split and its residual."""
+    stable, unstable = classify_nodes(rates, net.mu)
+    return TrafficSolution(
+        rates=rates,
+        stable=stable,
+        unstable=unstable,
+        residual=residual(net, rates, equation),
+        equation=equation,
+    )
+
+
 def solve_jackson(net: Network) -> TrafficSolution:
     """Solve the open-network linear equation rates = alpha + rates @ P.
 
@@ -157,20 +161,13 @@ def solve_jackson(net: Network) -> TrafficSolution:
     """
     if neumann_values(net.p) is None:
         raise SpectralRadiusAtLeastOneError(
-            f"routing matrix has spectral radius {spectral_radius(net.p):.17g} >= 1"
+            f"routing matrix has spectral radius {spectral_radius(net.p):.17g}, "
+            f"not below 1 - {RADIUS_MARGIN:g}"
         )
     result = solve_left(np.eye(net.n) - net.p, net.alpha)
     if result.status is not SolveStatus.UNIQUE:
         raise SingularInnerSystemError("open-network system unexpectedly singular")
-    rates = result.x
-    stable, unstable = classify_nodes(rates, net.mu)
-    return TrafficSolution(
-        rates=rates,
-        stable=stable,
-        unstable=unstable,
-        residual=residual(net, rates, Equation.JACKSON),
-        equation=Equation.JACKSON,
-    )
+    return _solution(net, result.x, Equation.JACKSON)
 
 
 def solve_goodman_massey(net: Network) -> tuple[TrafficSolution, SolveTrace]:
@@ -184,15 +181,7 @@ def solve_goodman_massey(net: Network) -> tuple[TrafficSolution, SolveTrace]:
     if isolated:
         raise IsolatedClassError(isolated)
     pairs = _goodman_massey_pass(net)
-    rates = pairs[-1][0]
-    stable, unstable = classify_nodes(rates, net.mu)
-    solution = TrafficSolution(
-        rates=rates,
-        stable=stable,
-        unstable=unstable,
-        residual=residual(net, rates, Equation.GOODMAN_MASSEY),
-        equation=Equation.GOODMAN_MASSEY,
-    )
+    solution = _solution(net, pairs[-1][0], Equation.GOODMAN_MASSEY)
     return solution, _goodman_massey_trace(net, pairs)
 
 
@@ -207,11 +196,12 @@ def solve_overflow(
     empty on every outer pass, so iteration counts match the plain
     pseudocode exactly.
 
-    Unless ``best_effort`` is set, the spectral uniqueness condition is
-    verified against the first outer pass, which is the Goodman-Massey
-    solve, and a non-holding verdict raises ConditionNotVerifiedError.
-    In best-effort mode the iteration runs under a cap of n**2 + 1 linear
-    solves and the result is only returned if its residual certifies it.
+    In every mode the first outer pass, with an empty overloaded set, is
+    the Goodman-Massey pass (at most n + 1 linear solves).  Unless
+    ``best_effort`` is set, the spectral uniqueness condition is verified
+    against it, and a non-holding verdict raises ConditionNotVerifiedError.
+    The passes after it run under a cap of n**2 + 1 linear solves in all,
+    and the result is only returned if its residual certifies it.
 
     When Q is exactly zero the equation coincides with the
     capacity-clipped one, and by default the solver returns that first
@@ -223,44 +213,32 @@ def solve_overflow(
     isolated = isolated_classes(net)
     if isolated:
         raise IsolatedClassError(isolated)
-
-    n = net.n
-    cap = n * n + 1
-    delegate = delegate_zero_overflow and not np.any(net.q)
-    # A checked or delegated solve needs pass 1 to be the Goodman-Massey
-    # solve, errors included; a best-effort overflow solve spends its cap.
-    if best_effort and not delegate:
-        pairs = _stable_set_loop(net, frozenset(), cap)
-    else:
-        pairs = _goodman_massey_pass(net)
+    pairs = _goodman_massey_pass(net)
     if not best_effort:
-        _, gm_unstable = classify_nodes(pairs[-1][0], net.mu)
-        verdict = check_overflow_condition(net, gm_unstable)
+        verdict = check_overflow_condition(net, classify_nodes(pairs[-1][0], net.mu)[1])
         if not verdict.holds():
             raise ConditionNotVerifiedError(verdict)
 
-    if delegate:
+    if delegate_zero_overflow and not np.any(net.q):
         rates, trace = pairs[-1][0], _goodman_massey_trace(net, pairs)
     else:
+        n = net.n
+        cap = n * n + 1
         overloaded: frozenset[int] = frozenset()
         steps: list[TraceStep] = []
         for kappa in range(1, n + 3):
             if kappa > 1:
                 pairs = _stable_set_loop(net, overloaded, cap - len(steps))
-            # Pass 1 may have run under the Goodman-Massey budget of n + 2
-            # solves, which exceeds the cap when n = 1.
-            if pairs is None or len(steps) + len(pairs) > cap:
-                raise NonConvergenceError(
-                    f"exceeded iteration cap {cap} without reaching a fixed point"
-                )
+                if pairs is None:
+                    raise NonConvergenceError(
+                        f"exceeded iteration cap {cap} without reaching a fixed point"
+                    )
             steps.extend(
                 TraceStep(outer=kappa, inner=ell, rates=r, stable=st, unstable=overloaded)
                 for ell, (r, st) in enumerate(pairs, 1)
             )
             rates = pairs[-1][0]
-            new_overloaded = frozenset(
-                int(i) for i in np.flatnonzero(rates >= net.mu - STABILITY_MARGIN)
-            )
+            new_overloaded = classify_nodes(rates, net.mu)[1]
             if new_overloaded == overloaded:
                 break
             overloaded = new_overloaded
@@ -272,19 +250,12 @@ def solve_overflow(
             history=tuple(steps),
         )
 
-    res = residual(net, rates, Equation.OVERFLOW)
-    if res >= RESIDUAL_TOL:
+    solution = _solution(net, rates, Equation.OVERFLOW)
+    if solution.residual >= RESIDUAL_TOL:
         raise NonConvergenceError(
-            f"iteration settled but residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}"
+            f"iteration settled but residual {solution.residual:.3e} "
+            f"exceeds {RESIDUAL_TOL:.0e}"
         )
-    stable, unstable = classify_nodes(rates, net.mu)
-    solution = TrafficSolution(
-        rates=rates,
-        stable=stable,
-        unstable=unstable,
-        residual=res,
-        equation=Equation.OVERFLOW,
-    )
     return solution, trace
 
 
@@ -309,14 +280,7 @@ def tarski_fixed_point(net: Network) -> TrafficSolution:
         raise IterationCapError(
             f"no convergence within {FIXED_POINT_CAP} monotone iterations"
         )
-    stable, unstable = classify_nodes(x, net.mu)
-    return TrafficSolution(
-        rates=x,
-        stable=stable,
-        unstable=unstable,
-        residual=residual(net, x, Equation.GOODMAN_MASSEY),
-        equation=Equation.GOODMAN_MASSEY,
-    )
+    return _solution(net, x, Equation.GOODMAN_MASSEY)
 
 
 class OracleKind(enum.Enum):

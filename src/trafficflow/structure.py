@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._graph import strongly_connected_components
+from .errors import _fmt_set
 from .linalg import RADIUS_MARGIN, has_stochastic_class, neumann_values, spectral_radius
 from .network import ROW_SUM_TOL, Network, classify_nodes
 
@@ -138,8 +139,7 @@ class ConditionVerdict:
     def __str__(self):
         parts = [self.status.value]
         if self.witness is not None:
-            pretty = "{" + ", ".join(str(i + 1) for i in sorted(self.witness)) + "}"
-            parts.append(f"witness A={pretty}")
+            parts.append(f"witness A={_fmt_set(self.witness)}")
         if self.radius is not None:
             parts.append(f"radius={self.radius:.17g}")
         if self.reason:

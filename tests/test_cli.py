@@ -1,9 +1,21 @@
 import csv
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 
-from trafficflow import gen_example2, make_network, parse_network, save_network
+import trafficflow
+import trafficflow.cli
+from trafficflow import (
+    NonConvergenceError,
+    gen_example2,
+    make_network,
+    parse_network,
+    save_network,
+)
 from trafficflow.cli import main
 
 
@@ -36,13 +48,82 @@ def test_solve_overflow_requires_best_effort_on_degenerate_triangle(tmp_path, ca
     assert "0.66666666666666" in out
 
 
+def _save(tmp_path, name, *args):
+    path = tmp_path / name
+    save_network(make_network(*args), path)
+    return path
+
+
+def _unfed_two_cycle(tmp_path):
+    return _save(tmp_path, "isolated.json", [0, 0], [1, 1], [[0.0, 1.0], [1.0, 0.0]])
+
+
+def _fed_overflow_two_cycle(tmp_path):
+    return _save(tmp_path, "fed.json", [3, 0], [1, 1], np.zeros((2, 2)), [[0, 1], [1, 0]])
+
+
 def test_solve_reports_isolated_class(tmp_path, capsys):
-    net = make_network([0, 0], [1, 1], [[0.0, 1.0], [1.0, 0.0]])
-    path = tmp_path / "isolated.json"
-    save_network(net, path)
-    code, _, err = _run(capsys, "solve", str(path), "--kind", "gm")
-    assert code == 2
-    assert "{1, 2}" in err
+    path = _unfed_two_cycle(tmp_path)
+    for kind in (["--kind", "gm"], []):  # the default kind is overflow
+        code, out, err = _run(capsys, "solve", str(path), *kind)
+        assert code == 2
+        assert out == ""
+        assert err == "error: isolated classes present: {1, 2}\n"
+
+
+def test_check_isolated_class_leaves_condition_unknown(tmp_path, capsys):
+    code, out, _ = _run(capsys, "check", str(_unfed_two_cycle(tmp_path)))
+    assert code == 0
+    assert "NI: no" in out.splitlines()
+    assert (
+        "overflow condition: unknown, network has an isolated class; "
+        "no-overflow solution undefined"
+    ) in out.splitlines()
+
+
+def test_oracle_reports_no_solution(tmp_path, capsys):
+    code, out, _ = _run(capsys, "oracle", str(_fed_overflow_two_cycle(tmp_path)))
+    assert code == 0
+    assert out == "NoSolution (4 patterns checked)\n"
+
+
+def test_best_effort_solve_reports_singular_inner_system(tmp_path, capsys):
+    path = _fed_overflow_two_cycle(tmp_path)
+    code, out, err = _run(capsys, "solve", str(path), "--best-effort")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: inner system is singular-inconsistent for stable rows [] "
+        "and overflow rows [0, 1]\n"
+    )
+
+
+def test_non_convergence_is_exit_four(tmp_path, capsys, monkeypatch):
+    def fail(net, *, best_effort):
+        raise NonConvergenceError("exceeded iteration cap 5 without reaching a fixed point")
+
+    monkeypatch.setattr(trafficflow.cli, "solve_overflow", fail)
+    path = _save(tmp_path, "one.json", [0.5], [1.0], [[0.0]])
+    code, out, err = _run(capsys, "solve", str(path), "--best-effort")
+    assert code == 4
+    assert out == ""
+    assert err == "error: exceeded iteration cap 5 without reaching a fixed point\n"
+
+
+def test_import_loads_no_scipy():
+    # scipy is only needed by the census on multi-dimensional continua and
+    # is imported there; loading it at import time costs a few tenths of a
+    # second and tens of megabytes on every CLI call.
+    src = str(Path(trafficflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, trafficflow, trafficflow.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_unreadable_file_is_exit_one(tmp_path, capsys):

@@ -55,9 +55,10 @@ def test_jackson_rejects_radius_one_routing():
     # rank-one matrix: a tie is not below the margin.
     s = 1.0 - RADIUS_MARGIN
     tie = make_network(np.ones(4), np.ones(4), np.full((4, 4), s / 4))
-    for net in (gen_example3(), tie):
-        with pytest.raises(SpectralRadiusAtLeastOneError):
-            solve_jackson(net)
+    with pytest.raises(SpectralRadiusAtLeastOneError):
+        solve_jackson(gen_example3())
+    with pytest.raises(SpectralRadiusAtLeastOneError, match=r", not below 1 - 1e-09$"):
+        solve_jackson(tie)
 
 
 def test_goodman_massey_example3_matches_fixed_point_oracle():
@@ -269,6 +270,15 @@ def test_oracle_agrees_with_solver_on_corpus():
         verdict = enumerate_solutions(net)
         assert verdict.kind is OracleKind.UNIQUE
         assert np.max(np.abs(verdict.solutions[0] - solution.rates)) < 1e-7
+
+
+def test_oracle_fed_overflow_two_cycle_has_no_solution():
+    # Node 1's excess overflows to node 2 and back: no rate vector balances.
+    net = make_network([3, 0], [1, 1], np.zeros((2, 2)), [[0, 1], [1, 0]])
+    verdict = enumerate_solutions(net)
+    assert verdict.kind is OracleKind.NO_SOLUTION
+    assert verdict.patterns_checked == 4
+    assert verdict.solutions == ()
 
 
 def test_oracle_size_guard():

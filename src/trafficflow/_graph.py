@@ -10,14 +10,23 @@ from __future__ import annotations
 import numpy as np
 
 
+def _neighbours(m: np.ndarray) -> list[list[int]]:
+    """Ascending column indices of the positive entries of each row,
+    from one scan of the whole matrix."""
+    rows, cols = np.nonzero(m > 0)
+    ends = np.cumsum(np.bincount(rows, minlength=m.shape[0])).tolist()
+    targets = cols.tolist()
+    return [targets[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def strongly_connected_components(adjacency: np.ndarray) -> list[frozenset[int]]:
     """Iterative Kosaraju on a boolean/nonnegative adjacency matrix."""
     m = np.asarray(adjacency)
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("adjacency matrix must be square")
-    succ = [np.flatnonzero(m[i] > 0) for i in range(n)]
-    pred = [np.flatnonzero(m[:, j] > 0) for j in range(n)]
+    succ = _neighbours(m)
+    pred = _neighbours(m.T)
 
     # First pass: record finish order on the forward graph.
     order: list[int] = []
@@ -34,7 +43,7 @@ def strongly_connected_components(adjacency: np.ndarray) -> list[frozenset[int]]
                 idx += 1
             if idx < len(children):
                 stack.append((node, idx + 1))
-                child = int(children[idx])
+                child = children[idx]
                 seen[child] = True
                 stack.append((child, 0))
             else:
@@ -55,7 +64,6 @@ def strongly_connected_components(adjacency: np.ndarray) -> list[frozenset[int]]
         while stack:
             node = stack.pop()
             for nxt in pred[node]:
-                nxt = int(nxt)
                 if component[nxt] < 0:
                     component[nxt] = label
                     members.append(nxt)

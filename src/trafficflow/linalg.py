@@ -4,12 +4,20 @@ nonnegative matrix has spectral radius below 1 - RADIUS_MARGIN, and
 spectral-radius estimation for the radii that get reported.
 
 All vectors are row vectors, so solves have the form ``x @ A = b``.
+Each solve is one LU factorization of the row-equilibrated transposed
+system by LAPACK ``dgetrf``/``dgetrs`` from the OpenBLAS that numpy's
+wheel bundles (``numpy.libs/libscipy_openblas64_*.so``), called through
+ctypes so that SciPy is never imported.  Where that library is missing,
+the pure-Python elimination ``_eliminate`` is the kernel; the import
+decides which, once.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,30 @@ CONSISTENCY_TOL = 1e-9
 RADIUS_MARGIN = 1e-9
 #: Number of matrix squarings used for the spectral-radius estimate.
 _SQUARINGS = 64
+
+
+def _find_lapack():
+    """``(dgetrf, dgetrs)`` of numpy's bundled ILP64 OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(
+            f
+            for f in os.listdir(libs)
+            if f.startswith("libscipy_openblas64_") and f.endswith(".so")
+        )
+        lib = ctypes.CDLL(os.path.join(libs, names[0]))
+        getrf, getrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
+    except (OSError, IndexError, AttributeError):
+        return None
+    # Arrays go in as raw addresses; the last dgetrs argument is Fortran's
+    # hidden length of TRANS.
+    getrf.argtypes = [ctypes.c_void_p] * 6
+    getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
+    getrf.restype = getrs.restype = None
+    return getrf, getrs
+
+
+_LAPACK = _find_lapack()
 
 
 class SolveStatus(enum.Enum):
@@ -76,15 +108,64 @@ def _eliminate(mt: np.ndarray, rhs: np.ndarray):
     return x
 
 
+def _solve_eliminate(a: np.ndarray, scale: np.ndarray, b: np.ndarray):
+    """Fallback kernel for ``x @ a = b``: ``_eliminate`` on ``a.T``, which
+    computes its own row scales (``scale`` is unused) and eliminates
+    afresh for every right-hand side.  Returns ``(x, resolve)`` or None
+    when singular."""
+    x = _eliminate(a.T, b)
+    if x is None:
+        return None
+    return x, lambda rhs: _eliminate(a.T, rhs)
+
+
+def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray):
+    """LAPACK kernel for ``x @ a = b``.
+
+    Factors ``D^-1 a.T = P L U`` with ``dgetrf``, where D holds the row
+    scales of ``a.T`` (the column max-abs of ``a``, 1 for a zero column).
+    Partial pivoting on the equilibrated system picks the pivots of
+    ``_eliminate``'s scaled partial pivoting, and ``|U_kk| <= PIVOT_TOL``
+    is its relative pivot test.  Returns ``(x, resolve)``, where
+    ``resolve`` runs ``dgetrs`` on the same factors, or None when
+    singular.
+    """
+    getrf, getrs = _LAPACK
+    n = a.shape[0]
+    # C order, so LAPACK's column-major view of it is D^-1 a.T.
+    lu = np.divide(a, scale, out=np.empty((n, n)))
+    ints = np.empty(n + 3, dtype=np.int64)  # n, nrhs = 1, info, ipiv
+    ints[:3] = n, 1, 0
+    p = ints.ctypes.data
+    getrf(p, p, lu.ctypes.data, p, p + 24, p + 16)
+    if not np.all(np.abs(lu.diagonal()) > PIVOT_TOL):
+        return None
+
+    def resolve(rhs: np.ndarray) -> np.ndarray:
+        # Addresses are taken here so that the closure keeps lu and ints alive.
+        y = rhs / scale
+        p = ints.ctypes.data
+        getrs(b"N", p, p + 8, lu.ctypes.data, p, p + 24, y.ctypes.data, p, p + 16, 1)
+        return y
+
+    return resolve(b), resolve
+
+
+#: The kernel behind every solve, chosen once at import.
+_kernel = _solve_eliminate if _LAPACK is None else _solve_lapack
+
+
 def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     """Solve ``x @ a_matrix = b`` for the row vector x.
 
-    The elimination runs on the transposed system with scaled partial
+    The kernel factors the transposed system with scaled partial
     pivoting.  A unique solution is reported only when every pivot clears
     the relative threshold; otherwise the system is classified as
     singular-consistent or singular-inconsistent by the max-norm residual
     of a least-squares candidate against CONSISTENCY_TOL * (1 + |b|); a
-    consistent system returns that candidate as ``x``.
+    consistent system returns that candidate as ``x``.  A unique solution
+    whose residual misses that bound gets one refinement step on the same
+    factors.  Non-finite input raises ValueError.
     """
     a = _check_square(a_matrix)
     b = np.asarray(b, dtype=float)
@@ -94,19 +175,24 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
 
     if n == 0:
         return LinearSolveResult(status=SolveStatus.UNIQUE, x=b.copy())
-    x = _eliminate(a.T, b)
-    bound = CONSISTENCY_TOL * (1.0 + float(np.max(np.abs(b))))
-    if x is None:
+    # Row scales of a.T; a NaN or inf entry makes its scale non-finite.
+    scale = np.max(np.abs(a), axis=0)
+    b_norm = float(np.max(np.abs(b)))
+    if not (math.isfinite(b_norm) and np.all(np.isfinite(scale))):
+        raise ValueError("matrix and rhs must be finite")
+    solved = _kernel(a, np.where(scale > 0, scale, 1.0), b)
+    bound = CONSISTENCY_TOL * (1.0 + b_norm)
+    if solved is None:
         candidate, *_ = np.linalg.lstsq(a.T, b, rcond=None)
         if float(np.max(np.abs(candidate @ a - b))) > bound:
             return LinearSolveResult(status=SolveStatus.SINGULAR_INCONSISTENT, x=None)
         return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
 
-    res = float(np.max(np.abs(x @ a - b)))
-    if res > bound:
-        # One pass of iterative refinement; these systems are rarely this
-        # ill-conditioned, so the extra elimination is acceptable.
-        dx = _eliminate(a.T, b - x @ a)
+    x, resolve = solved
+    r = b - x @ a
+    if float(np.max(np.abs(r))) > bound:
+        # One pass of iterative refinement.
+        dx = resolve(r)
         if dx is not None:
             x = x + dx
     return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)

@@ -2,8 +2,9 @@
 
 Three solvers share one convention: rates are row vectors, node i is
 overloaded when its rate reaches capacity (within a small margin), and
-every linear step is solved from scratch with no warm starting or
-factorization reuse, so iteration counts are exactly reproducible.
+every linear step is solved from scratch with no warm starting and no
+factors carried between steps (only a step's own refinement reuses its
+factors), so iteration counts are exactly reproducible.
 """
 
 from __future__ import annotations

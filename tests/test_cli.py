@@ -113,17 +113,24 @@ def test_non_convergence_is_exit_four(tmp_path, capsys, monkeypatch):
 def test_import_loads_no_scipy():
     # scipy is only needed by the census on multi-dimensional continua and
     # is imported there; loading it at import time costs a few tenths of a
-    # second and tens of megabytes on every CLI call.
+    # second and tens of megabytes on every CLI call.  The linear solves
+    # use the LAPACK that numpy's wheel bundles, when it is there: the
+    # pure-Python fallback is about ten times slower.
     src = str(Path(trafficflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, trafficflow, trafficflow.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(trafficflow.linalg._kernel.__name__)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "[]\n"
+    scipy_modules, kernel = result.stdout.splitlines()
+    assert scipy_modules == "[]"
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    if list(libs.glob("libscipy_openblas64_*.so")):
+        assert kernel == "_solve_lapack"
 
 
 def test_unreadable_file_is_exit_one(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -12,7 +13,9 @@ from trafficflow import (
     solve_left,
     spectral_radius,
 )
+from trafficflow import linalg
 from trafficflow.linalg import RADIUS_MARGIN, neumann_values
+from trafficflow.solvers import _pattern_system
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
 
@@ -71,6 +74,99 @@ def test_solve_left_neumann_nonnegativity():
 def test_solve_left_rejects_non_square():
     with pytest.raises(ValueError):
         solve_left(np.zeros((2, 3)), np.zeros(2))
+
+
+def test_solve_left_rejects_non_finite_input():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve_left(np.array([[1.0, bad], [0.0, 1.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            solve_left(np.eye(2), np.array([1.0, -bad]))
+
+
+def test_solve_left_pivot_test_is_relative_to_row_scale():
+    # Scaling column j of a (row j of the transposed system) and b_j by
+    # the same factor leaves x and the singularity verdict unchanged.
+    factors = 10.0 ** np.array([-30, -10, 0, 10, 30])
+    rng = np.random.default_rng(11)
+    a = np.eye(5) - rng.random((5, 5)) / 10
+    b = rng.random(5)
+    scaled = solve_left(a * factors, b * factors)
+    assert scaled.status is SolveStatus.UNIQUE
+    assert np.allclose(scaled.x, solve_left(a, b).x, rtol=1e-12, atol=0)
+    singular = (np.eye(3) - EQ12) * factors[[0, 2, 4]]
+    assert solve_left(singular, np.zeros(3)).status is SolveStatus.SINGULAR_CONSISTENT
+
+
+class TestEliminateFallback:
+    """The solve_left tests above, on the pure-Python fallback kernel."""
+
+    @pytest.fixture(autouse=True)
+    def _fallback(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_kernel", linalg._solve_eliminate)
+
+    test_solve_left_identity = staticmethod(test_solve_left_identity)
+    test_solve_left_open_network_system = staticmethod(test_solve_left_open_network_system)
+    test_solve_left_singular_classification = staticmethod(
+        test_solve_left_singular_classification
+    )
+    test_solve_left_residual_contract = staticmethod(test_solve_left_residual_contract)
+    test_solve_left_neumann_nonnegativity = staticmethod(test_solve_left_neumann_nonnegativity)
+    test_solve_left_rejects_non_square = staticmethod(test_solve_left_rejects_non_square)
+    test_solve_left_rejects_non_finite_input = staticmethod(
+        test_solve_left_rejects_non_finite_input
+    )
+    test_solve_left_pivot_test_is_relative_to_row_scale = staticmethod(
+        test_solve_left_pivot_test_is_relative_to_row_scale
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        linalg._solve_eliminate,
+        pytest.param(
+            linalg._solve_lapack,
+            marks=pytest.mark.skipif(linalg._LAPACK is None, reason="no bundled OpenBLAS"),
+        ),
+    ],
+    ids=["eliminate", "lapack"],
+)
+def test_kernel_solves_further_right_hand_sides(kernel):
+    # The refinement step calls resolve after the kernel has returned, so
+    # the factors must outlive the call; fresh allocations in between
+    # would reuse their memory otherwise.
+    rng = np.random.default_rng(5)
+    a = np.eye(30) - rng.random((30, 30)) / 40
+    x, resolve = kernel(a, np.max(np.abs(a), axis=0), np.ones(30))
+    assert np.allclose(x @ a, 1.0, rtol=0, atol=1e-12)
+    for _ in range(3):
+        clutter = [np.full((30, 30), 7.0) for _ in range(10)]
+        rhs = rng.standard_normal(30)
+        assert np.allclose(resolve(rhs) @ a, rhs, rtol=0, atol=1e-12)
+    del clutter
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy bundles no ILP64 OpenBLAS")
+def test_lapack_and_fallback_agree_on_census_systems(monkeypatch):
+    # Every stable pattern of the census on networks of 3 to 8 nodes:
+    # same status, and unique solutions within 1e-12 relative.
+    checked = 0
+    for net in corpus(40, sizes=range(3, 9)):
+        for mask in range(2**net.n):
+            stable = ((mask >> np.arange(net.n)) & 1).astype(bool)
+            system, rhs = _pattern_system(net, stable, ~stable)
+            results = []
+            for kernel in (linalg._solve_lapack, linalg._solve_eliminate):
+                monkeypatch.setattr(linalg, "_kernel", kernel)
+                results.append(solve_left(system, rhs))
+            fast, slow = results
+            assert fast.status is slow.status
+            if fast.status is SolveStatus.UNIQUE:
+                scale = np.max(np.abs(slow.x))
+                assert np.max(np.abs(fast.x - slow.x)) <= 1e-12 * scale
+                checked += 1
+    assert checked > 1000
 
 
 def test_spectral_radius_fixed_points():

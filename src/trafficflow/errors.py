@@ -38,7 +38,11 @@ class IsolatedClassError(TrafficFlowError):
 
 class SingularInnerSystemError(TrafficFlowError):
     """An inner linear system of a solver was singular; no certified
-    solution can be produced for the requested pattern."""
+    solution can be produced for the requested pattern.
+
+    A checked ``solve_overflow`` does not raise it: once the overflow
+    condition is verified, every inner system is dominated by a certified
+    mix, so only ``best_effort`` solves reach this error."""
 
 
 class ConditionNotVerifiedError(TrafficFlowError):

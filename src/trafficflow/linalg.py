@@ -5,11 +5,12 @@ spectral-radius estimation for the radii that get reported.
 
 All vectors are row vectors, so solves have the form ``x @ A = b``.
 Each solve is one LU factorization of the row-equilibrated transposed
-system by LAPACK ``dgetrf``/``dgetrs`` from the OpenBLAS that numpy's
-wheel bundles (``numpy.libs/libscipy_openblas64_*.so``), called through
-ctypes so that SciPy is never imported.  Where that library is missing,
-the pure-Python elimination ``_eliminate`` is the kernel; the import
-decides which, once.
+system and one substitution, by LAPACK ``dgetrf`` and ``dgetrs`` from
+the OpenBLAS that numpy's wheel bundles
+(``numpy.libs/libscipy_openblas64_*.so``), called through ctypes so
+that SciPy is never imported.  Where that library is missing, the
+pure-Python elimination ``_eliminate`` is the kernel; the import decides
+which, once.
 """
 
 from __future__ import annotations
@@ -77,22 +78,18 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _eliminate(mt: np.ndarray, rhs: np.ndarray):
-    """Gaussian elimination with scaled partial pivoting on ``mt y = rhs``.
+def _eliminate(a: np.ndarray, scale: np.ndarray, b: np.ndarray):
+    """Fallback kernel for ``x @ a = b``: Gaussian elimination with scaled
+    partial pivoting on ``a.T``, whose positive row scales are ``scale``.
 
     Returns the solution, or None when a pivot falls below PIVOT_TOL
     relative to its row scale.
     """
-    n = mt.shape[0]
-    a = mt.copy()
-    b = rhs.copy()
-    scale = np.max(np.abs(a), axis=1)
+    n = a.shape[0]
+    a, b, scale = a.T.copy(), b.copy(), scale.copy()
     for k in range(n):
-        col = np.abs(a[k:, k])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(scale[k:] > 0, col / scale[k:], 0.0)
-        p = k + int(np.argmax(ratios))
-        if abs(a[p, k]) <= PIVOT_TOL * max(scale[p], np.finfo(float).tiny):
+        p = k + int(np.argmax(np.abs(a[k:, k]) / scale[k:]))
+        if abs(a[p, k]) <= PIVOT_TOL * scale[p]:
             return None
         if p != k:
             a[[k, p]] = a[[p, k]]
@@ -108,64 +105,45 @@ def _eliminate(mt: np.ndarray, rhs: np.ndarray):
     return x
 
 
-def _solve_eliminate(a: np.ndarray, scale: np.ndarray, b: np.ndarray):
-    """Fallback kernel for ``x @ a = b``: ``_eliminate`` on ``a.T``, which
-    computes its own row scales (``scale`` is unused) and eliminates
-    afresh for every right-hand side.  Returns ``(x, resolve)`` or None
-    when singular."""
-    x = _eliminate(a.T, b)
-    if x is None:
-        return None
-    return x, lambda rhs: _eliminate(a.T, rhs)
-
-
 def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray):
     """LAPACK kernel for ``x @ a = b``.
 
     Factors ``D^-1 a.T = P L U`` with ``dgetrf``, where D holds the row
-    scales of ``a.T`` (the column max-abs of ``a``, 1 for a zero column).
+    scales of ``a.T``, and substitutes ``D^-1 b`` with one ``dgetrs``.
     Partial pivoting on the equilibrated system picks the pivots of
     ``_eliminate``'s scaled partial pivoting, and ``|U_kk| <= PIVOT_TOL``
-    is its relative pivot test.  Returns ``(x, resolve)``, where
-    ``resolve`` runs ``dgetrs`` on the same factors, or None when
+    is its relative pivot test.  Returns the solution, or None when
     singular.
     """
     getrf, getrs = _LAPACK
     n = a.shape[0]
     # C order, so LAPACK's column-major view of it is D^-1 a.T.
     lu = np.divide(a, scale, out=np.empty((n, n)))
+    x = b / scale
     ints = np.empty(n + 3, dtype=np.int64)  # n, nrhs = 1, info, ipiv
     ints[:3] = n, 1, 0
     p = ints.ctypes.data
     getrf(p, p, lu.ctypes.data, p, p + 24, p + 16)
     if not np.all(np.abs(lu.diagonal()) > PIVOT_TOL):
         return None
-
-    def resolve(rhs: np.ndarray) -> np.ndarray:
-        # Addresses are taken here so that the closure keeps lu and ints alive.
-        y = rhs / scale
-        p = ints.ctypes.data
-        getrs(b"N", p, p + 8, lu.ctypes.data, p, p + 24, y.ctypes.data, p, p + 16, 1)
-        return y
-
-    return resolve(b), resolve
+    getrs(b"N", p, p + 8, lu.ctypes.data, p, p + 24, x.ctypes.data, p, p + 16, 1)
+    return x
 
 
 #: The kernel behind every solve, chosen once at import.
-_kernel = _solve_eliminate if _LAPACK is None else _solve_lapack
+_kernel = _eliminate if _LAPACK is None else _solve_lapack
 
 
 def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     """Solve ``x @ a_matrix = b`` for the row vector x.
 
     The kernel factors the transposed system with scaled partial
-    pivoting.  A unique solution is reported only when every pivot clears
-    the relative threshold; otherwise the system is classified as
-    singular-consistent or singular-inconsistent by the max-norm residual
-    of a least-squares candidate against CONSISTENCY_TOL * (1 + |b|); a
-    consistent system returns that candidate as ``x``.  A unique solution
-    whose residual misses that bound gets one refinement step on the same
-    factors.  Non-finite input raises ValueError.
+    pivoting and substitutes once.  A unique solution is reported only
+    when every pivot clears the relative threshold; otherwise the system
+    is classified as singular-consistent or singular-inconsistent by the
+    max-norm residual of a least-squares candidate against
+    CONSISTENCY_TOL * (1 + |b|); a consistent system returns that
+    candidate as ``x``.  Non-finite input raises ValueError.
     """
     a = _check_square(a_matrix)
     b = np.asarray(b, dtype=float)
@@ -180,22 +158,14 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     b_norm = float(np.max(np.abs(b)))
     if not (math.isfinite(b_norm) and np.all(np.isfinite(scale))):
         raise ValueError("matrix and rhs must be finite")
-    solved = _kernel(a, np.where(scale > 0, scale, 1.0), b)
-    bound = CONSISTENCY_TOL * (1.0 + b_norm)
-    if solved is None:
-        candidate, *_ = np.linalg.lstsq(a.T, b, rcond=None)
-        if float(np.max(np.abs(candidate @ a - b))) > bound:
-            return LinearSolveResult(status=SolveStatus.SINGULAR_INCONSISTENT, x=None)
-        return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
-
-    x, resolve = solved
-    r = b - x @ a
-    if float(np.max(np.abs(r))) > bound:
-        # One pass of iterative refinement.
-        dx = resolve(r)
-        if dx is not None:
-            x = x + dx
-    return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
+    # A zero row of a.T stays zero, so its scale of 1 changes no pivot.
+    x = _kernel(a, np.where(scale > 0, scale, 1.0), b)
+    if x is not None:
+        return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
+    candidate, *_ = np.linalg.lstsq(a.T, b, rcond=None)
+    if float(np.max(np.abs(candidate @ a - b))) > CONSISTENCY_TOL * (1.0 + b_norm):
+        return LinearSolveResult(status=SolveStatus.SINGULAR_INCONSISTENT, x=None)
+    return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
 
 
 def neumann_values(m: np.ndarray) -> np.ndarray | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,8 +32,33 @@ class Equation(enum.Enum):
     OVERFLOW = "overflow"
 
 
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+class _ValueEq:
+    """Value equality for frozen dataclasses, declared with ``eq=False``,
+    that hold arrays: arrays compare by ``np.array_equal`` and tuples
+    elementwise; the hash reads only the fields that are neither."""
+
+    def _values(self):
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _same(self._values(), other._values())
+
+    def __hash__(self):
+        return hash(tuple(v for v in self._values() if not isinstance(v, (np.ndarray, tuple))))
+
+
 @dataclass(frozen=True, eq=False)
-class Network:
+class Network(_ValueEq):
     """Immutable network model; arrays are copied and marked read-only."""
 
     n: int
@@ -48,23 +73,12 @@ class Network:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def __eq__(self, other):
-        if not isinstance(other, Network):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.alpha, other.alpha)
-            and np.array_equal(self.mu, other.mu)
-            and np.array_equal(self.p, other.p)
-            and np.array_equal(self.q, other.q)
-        )
-
     def __repr__(self):
         return f"Network(n={self.n})"
 
 
-@dataclass(frozen=True)
-class TrafficSolution:
+@dataclass(frozen=True, eq=False)
+class TrafficSolution(_ValueEq):
     """A rate vector together with its stability split and residual."""
 
     rates: np.ndarray

@@ -3,8 +3,8 @@
 Three solvers share one convention: rates are row vectors, node i is
 overloaded when its rate reaches capacity (within a small margin), and
 every linear step is solved from scratch with no warm starting and no
-factors carried between steps (only a step's own refinement reuses its
-factors), so iteration counts are exactly reproducible.
+factors carried between steps (each step is one factorization and one
+substitution), so iteration counts are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     SpectralRadiusAtLeastOneError,
 )
 from .linalg import RADIUS_MARGIN, SolveStatus, neumann_values, solve_left, spectral_radius
-from .network import Equation, Network, TrafficSolution, classify_nodes, residual
+from .network import Equation, Network, TrafficSolution, _ValueEq, classify_nodes, residual
 from .structure import check_overflow_condition, isolated_classes
 
 #: Successful solves must satisfy this max-norm residual.
@@ -43,8 +43,8 @@ FIXED_POINT_TOL = 1e-12
 FIXED_POINT_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class TraceStep:
+@dataclass(frozen=True, eq=False)
+class TraceStep(_ValueEq):
     outer: int
     inner: int
     rates: np.ndarray
@@ -57,8 +57,8 @@ class TraceStep:
         object.__setattr__(self, "rates", arr)
 
 
-@dataclass(frozen=True)
-class SolveTrace:
+@dataclass(frozen=True, eq=False)
+class SolveTrace(_ValueEq):
     """Iteration telemetry: one entry per linear solve."""
 
     outer_iterations: int
@@ -291,8 +291,8 @@ class OracleKind(enum.Enum):
     CONTINUUM = "continuum"
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+@dataclass(frozen=True, eq=False)
+class OracleVerdict(_ValueEq):
     kind: OracleKind
     solutions: tuple[np.ndarray, ...]
     patterns_checked: int

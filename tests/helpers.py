@@ -119,20 +119,3 @@ def enumerate_overflow_condition(net, gm_unstable):
         status = ConditionStatus.FAILS if certified else ConditionStatus.MARGINAL
         return ConditionVerdict(status=status, witness=frozenset(subset), radius=radius)
     return ConditionVerdict(status=ConditionStatus.HOLDS)
-
-
-def traces_identical(t1, t2):
-    if (
-        t1.outer_iterations != t2.outer_iterations
-        or t1.inner_iterations_total != t2.inner_iterations_total
-        or len(t1.history) != len(t2.history)
-    ):
-        return False
-    return all(
-        a.outer == b.outer
-        and a.inner == b.inner
-        and np.array_equal(a.rates, b.rates)
-        and a.stable == b.stable
-        and a.unstable == b.unstable
-        for a, b in zip(t1.history, t2.history)
-    )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import (
@@ -6,9 +8,12 @@ from helpers import (
     corpus,
     count_calls,
     first_solve_producing,
-    traces_identical,
     zero_overflow,
 )
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import trafficflow.solvers
 import trafficflow.structure
@@ -20,6 +25,7 @@ from trafficflow import (
     OracleKind,
     OracleSizeError,
     SpectralRadiusAtLeastOneError,
+    TrafficFlowError,
     enumerate_solutions,
     gen_example1,
     gen_example2,
@@ -34,6 +40,7 @@ from trafficflow import (
     tarski_fixed_point,
 )
 from trafficflow.linalg import RADIUS_MARGIN
+from trafficflow.solvers import _goodman_massey_pass
 
 
 def test_jackson_without_routing_returns_inputs():
@@ -142,7 +149,7 @@ def test_overflow_delegates_to_goodman_massey_when_no_overflow_matrix():
         gm_solution, gm_trace = solve_goodman_massey(net)
         ov_solution, ov_trace = solve_overflow(net)
         assert np.array_equal(gm_solution.rates, ov_solution.rates)
-        assert traces_identical(gm_trace, ov_trace)
+        assert gm_trace == ov_trace
         assert ov_solution.equation is Equation.OVERFLOW
 
 
@@ -155,7 +162,26 @@ def test_overflow_traces_and_lower_bound_on_corpus():
         check_trace(net, trace)
         # The checked and best-effort paths share the first outer pass.
         _, best_effort_trace = solve_overflow(net, best_effort=True)
-        assert traces_identical(trace, best_effort_trace)
+        assert trace == best_effort_trace
+
+
+def test_results_compare_by_value():
+    # Results hold arrays, so == and hash must not reach the arrays'
+    # elementwise comparison.
+    net = gen_example2(4)
+    first = solve_overflow(net, best_effort=True)
+    second = solve_overflow(net, best_effort=True)
+    assert first == second
+    assert len({first, second}) == 1
+    (solution, trace), step = first, first[1].history[-1]
+    assert step != replace(step, rates=step.rates + 1.0)
+    assert trace != replace(trace, history=trace.history[:-1])
+    assert solution != replace(solution, residual=1.0)
+    for alpha1 in (0.5, 1.0):
+        verdict = enumerate_solutions(gen_example4(alpha1))
+        assert verdict == enumerate_solutions(gen_example4(alpha1))
+        assert hash(verdict) == hash(enumerate_solutions(gen_example4(alpha1)))
+    assert verdict != replace(verdict, base=verdict.base + 1.0)
 
 
 def test_checked_overflow_on_long_chains_estimates_no_radius(monkeypatch):
@@ -191,6 +217,60 @@ def test_checked_overflow_repeats_no_solve(monkeypatch):
         _, trace = solve_overflow(net)
         assert len(solves) == trace.inner_iterations_total
         assert len(characterizations) == 1
+
+
+@st.composite
+def hard_networks(draw):
+    """Networks of up to 7 nodes drawn toward the hard regions: sparse P
+    and Q, rows of P + Q summing to exactly 1 or to 1 - 1e-6, stochastic
+    routing cycles, and capacities within 1e-6 of the first pass's rates."""
+    n = draw(st.integers(1, 7))
+    unit = st.floats(0.0, 1.0)
+    weights = draw(arrays(np.float64, (2, n, n), elements=unit, fill=st.nothing()))
+    mask = draw(arrays(np.bool_, (2, n, n), fill=st.nothing()))
+    if draw(st.booleans()):
+        mask &= draw(arrays(np.bool_, (2, n, n), fill=st.nothing()))
+    p, q = weights * mask
+    sums = (p + q).sum(axis=1)
+    for i in range(n):
+        target = draw(st.sampled_from([1.0, 1.0 - 1e-6, 0.9, 0.5]))
+        if sums[i] > 0:
+            p[i] = p[i] / sums[i] * target
+            q[i] = q[i] / sums[i] * target
+    if draw(st.booleans()):
+        # A stochastic routing cycle through some of the nodes.
+        cycle = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            p[a] = 0.0
+            p[a, b] = 1.0
+            q[a] = 0.0
+    alpha = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    mu = draw(arrays(np.float64, n, elements=st.sampled_from([0.2, 0.5, 1.0, 2.0])))
+    net = make_network(alpha, mu, p, q)
+    if draw(st.booleans()):
+        # Put some capacities within 1e-6 of the first pass's rates.
+        try:
+            rates = _goodman_massey_pass(net)[-1][0]
+        except TrafficFlowError:
+            return net
+        offsets = st.sampled_from([np.nan, -1e-6, 0.0, 1e-6])
+        offset = draw(arrays(np.float64, n, elements=offsets))
+        near = ~np.isnan(offset) & (rates > 0)
+        mu = np.where(near, rates * (1.0 + offset), mu)
+        net = make_network(alpha, mu, p, q)
+    return net
+
+
+@settings(max_examples=200)
+@given(hard_networks())
+def test_verified_condition_leaves_no_inner_system_singular(net):
+    # Every inner system is dominated by a certified mix, so once the
+    # condition is verified none may be singular: SingularInnerSystemError
+    # (or any other error) fails the test.
+    try:
+        solve_overflow(net)
+    except (ConditionNotVerifiedError, IsolatedClassError):
+        pass
 
 
 def test_overflow_permutation_equivariant():

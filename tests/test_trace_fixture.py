@@ -1,4 +1,5 @@
-"""Solver traces and condition verdicts pinned by a stored fixture.
+"""Solver traces, condition verdicts and census verdicts pinned by
+stored fixtures.
 
 ``fixtures/traces.json`` holds, for checked ``solve_overflow`` on
 ``corpus(200)`` and best-effort ``solve_overflow`` with
@@ -11,7 +12,16 @@ must leave the sets, counts, errors and verdicts exactly as stored and
 the rates within 1e-10 relative, looser than the stored digits so that
 a last-bit difference cannot flip a rounding.
 
-Regenerate, only for a change meant to move a trace, with::
+``fixtures/census.json`` holds ``enumerate_solutions`` verdicts (kind,
+patterns checked, pattern, direction note, and every solution and base
+as ``float.hex``) for ``corpus(60, seed_base=1300)``, ``gen_example4``
+at seven input rates, the fed overflow 2-cycle, two disjoint overflow
+2-cycles at capacity (a two-dimensional family, decided by linear
+programs) and the seeded small networks of ``small_networks``.  They
+must match exactly.
+
+Regenerate both fixtures, only for a change meant to move a trace or a
+verdict, with::
 
     PYTHONPATH=src python tests/test_trace_fixture.py
 """
@@ -22,9 +32,21 @@ from pathlib import Path
 import numpy as np
 from helpers import corpus
 
-from trafficflow import TrafficFlowError, condition_report, gen_example2, solve_overflow
+import trafficflow.solvers
+from trafficflow import (
+    Equation,
+    TrafficFlowError,
+    condition_report,
+    enumerate_solutions,
+    gen_example2,
+    gen_example4,
+    make_network,
+    residual,
+    solve_overflow,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "traces.json"
+CENSUS_FIXTURE = Path(__file__).parent / "fixtures" / "census.json"
 
 
 def _trace_record(solve):
@@ -59,6 +81,109 @@ def record():
     return {"solves": solves, "verdicts": verdicts}
 
 
+def small_networks(count):
+    """Seeded networks of 2 to 4 nodes built to hit singular patterns:
+    integer weights at density 0.5 with a zero diagonal, each row of P
+    and Q scaled to sum to 1 or 0.5, and alpha and mu in steps of 1/2."""
+    rng = np.random.default_rng(3)
+    nets = []
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        mats = []
+        for _ in range(2):
+            w = rng.integers(1, 4, size=(n, n)) * (rng.random((n, n)) < 0.5)
+            np.fill_diagonal(w, 0)
+            sums = w.sum(axis=1, keepdims=True)
+            target = rng.choice([1.0, 0.5], size=(n, 1))
+            mats.append(np.where(sums > 0, w * target / np.where(sums > 0, sums, 1), 0.0))
+        alpha = rng.integers(0, 3, size=n) / 2
+        mu = rng.integers(1, 3, size=n) / 2
+        nets.append(make_network(alpha, mu, mats[0], mats[1]))
+    return nets
+
+
+def census_networks():
+    """The census fixture's inputs, by name."""
+    nets = {f"corpus {k}": net for k, net in enumerate(corpus(60, seed_base=1300))}
+    for a in (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 10.0):
+        nets[f"example4 {a}"] = gen_example4(a)
+    nets["fed overflow 2-cycle"] = make_network(
+        [3, 0], [1, 1], np.zeros((2, 2)), [[0, 1], [1, 0]]
+    )
+    two_cycles = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+    nets["two overflow 2-cycles"] = make_network(
+        np.ones(4), np.ones(4), np.zeros((4, 4)), two_cycles
+    )
+    for k, net in enumerate(small_networks(400)):
+        nets[f"small {k}"] = net
+    return nets
+
+
+def _hex(rates):
+    return [float(r).hex() for r in rates]
+
+
+def census_record(verdict):
+    return {
+        "kind": verdict.kind.value,
+        "patterns_checked": verdict.patterns_checked,
+        "pattern": None if verdict.pattern is None else sorted(verdict.pattern),
+        "direction_note": verdict.direction_note,
+        "solutions": [_hex(x) for x in verdict.solutions],
+        "base": None if verdict.base is None else _hex(verdict.base),
+    }
+
+
+def record_census():
+    """The census fixture's contents.  Also asserts that the inputs reach
+    every branch of a singular pattern: a one-dimensional family (interval
+    path), a wider one (linear programs), a family that misses its
+    pattern's region, and a family kept as one candidate (its low end
+    solves the equation and lies in the region; it is not a continuum)."""
+    solvers = trafficflow.solvers
+    families = []
+    affine_region_points = solvers._affine_region_points
+
+    def recording(x0, basis, mu, stable_mask):
+        points = affine_region_points(x0, basis, mu, stable_mask)
+        families.append((basis.shape[0], points, stable_mask))
+        return points
+
+    def solves(net, x):
+        return residual(net, x, Equation.OVERFLOW) < solvers.ORACLE_RESIDUAL_TOL
+
+    solvers._affine_region_points = recording
+    reached = set()
+    try:
+        verdicts = {}
+        for name, net in census_networks().items():
+            families.clear()
+            verdicts[name] = census_record(enumerate_solutions(net))
+            for dim, points, stable_mask in families:
+                reached.add("interval" if dim == 1 else "linear programs")
+                if points is None:
+                    reached.add("misses region")
+                    continue
+                low, high = points
+                sign, bound = solvers._region(net.mu, stable_mask)
+                wide = float(np.max(np.abs(high - low))) > 1e-9
+                if not (wide and solves(net, high)) and solves(net, low):
+                    if np.all(sign * low <= bound):
+                        reached.add("kept as a point")
+    finally:
+        solvers._affine_region_points = affine_region_points
+    assert reached == {"interval", "linear programs", "misses region", "kept as a point"}
+    return verdicts
+
+
+def test_census_matches_fixture():
+    stored = json.loads(CENSUS_FIXTURE.read_text())
+    nets = census_networks()
+    assert nets.keys() == stored.keys()
+    for name, net in nets.items():
+        assert census_record(enumerate_solutions(net)) == stored[name], name
+
+
 def test_traces_match_fixture():
     stored = json.loads(FIXTURE.read_text())
     fresh = record()
@@ -78,3 +203,4 @@ if __name__ == "__main__":
         if "rates" in entry:
             entry["rates"] = [[float(f"{r:.12g}") for r in row] for row in entry["rates"]]
     FIXTURE.write_text(json.dumps(data, separators=(",", ":")) + "\n")
+    CENSUS_FIXTURE.write_text(json.dumps(record_census(), separators=(",", ":")) + "\n")

@@ -21,8 +21,8 @@ class NetworkFormatError(TrafficFlowError):
 
 
 class SpectralRadiusAtLeastOneError(TrafficFlowError):
-    """The routing matrix has spectral radius >= 1, so the open-network
-    linear solve is not well posed."""
+    """The routing matrix fails the Neumann test (spectral radius not
+    below 1 - 1e-9), so the open-network linear solve is refused."""
 
 
 class IsolatedClassError(TrafficFlowError):

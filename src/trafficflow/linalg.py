@@ -124,7 +124,7 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray):
     ints[:3] = n, 1, 0
     p = ints.ctypes.data
     getrf(p, p, lu.ctypes.data, p, p + 24, p + 16)
-    if not np.all(np.abs(lu.diagonal()) > PIVOT_TOL):
+    if not (np.abs(lu.diagonal()) > PIVOT_TOL).all():
         return None
     getrs(b"N", p, p + 8, lu.ctypes.data, p, p + 24, x.ctypes.data, p, p + 16, 1)
     return x
@@ -139,11 +139,12 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
 
     The kernel factors the transposed system with scaled partial
     pivoting and substitutes once.  A unique solution is reported only
-    when every pivot clears the relative threshold; otherwise the system
-    is classified as singular-consistent or singular-inconsistent by the
-    max-norm residual of a least-squares candidate against
-    CONSISTENCY_TOL * (1 + |b|); a consistent system returns that
-    candidate as ``x``.  Non-finite input raises ValueError.
+    when every pivot clears the relative threshold and the solution is
+    finite (equilibrating a column near the underflow limit can overflow
+    it); otherwise the system is classified as singular-consistent or
+    singular-inconsistent by the max-norm residual of a least-squares
+    candidate against CONSISTENCY_TOL * (1 + |b|); a consistent system
+    returns that candidate as ``x``.  Non-finite input raises ValueError.
     """
     a = _check_square(a_matrix)
     b = np.asarray(b, dtype=float)
@@ -160,7 +161,7 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
         raise ValueError("matrix and rhs must be finite")
     # A zero row of a.T stays zero, so its scale of 1 changes no pivot.
     x = _kernel(a, np.where(scale > 0, scale, 1.0), b)
-    if x is not None:
+    if x is not None and np.isfinite(x).all():
         return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
     candidate, *_ = np.linalg.lstsq(a.T, b, rcond=None)
     if float(np.max(np.abs(candidate @ a - b))) > CONSISTENCY_TOL * (1.0 + b_norm):

@@ -40,6 +40,13 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 class _ValueEq:
     """Value equality for frozen dataclasses, declared with ``eq=False``,
     that hold arrays: arrays compare by ``np.array_equal`` and tuples
@@ -69,9 +76,7 @@ class Network(_ValueEq):
 
     def __post_init__(self):
         for name in ("alpha", "mu", "p", "q"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def __repr__(self):
         return f"Network(n={self.n})"
@@ -88,9 +93,7 @@ class TrafficSolution(_ValueEq):
     equation: Equation
 
     def __post_init__(self):
-        arr = np.array(self.rates, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "rates", arr)
+        object.__setattr__(self, "rates", _frozen(self.rates))
 
 
 def make_network(alpha, mu, p, q=None) -> Network:

@@ -25,7 +25,8 @@ from .errors import (
     SpectralRadiusAtLeastOneError,
 )
 from .linalg import RADIUS_MARGIN, SolveStatus, neumann_values, solve_left, spectral_radius
-from .network import Equation, Network, TrafficSolution, _ValueEq, classify_nodes, residual
+from .network import Equation, Network, TrafficSolution, _frozen, _ValueEq
+from .network import classify_nodes, residual
 from .structure import check_overflow_condition, isolated_classes
 
 #: Successful solves must satisfy this max-norm residual.
@@ -52,9 +53,7 @@ class TraceStep(_ValueEq):
     unstable: frozenset[int]
 
     def __post_init__(self):
-        arr = np.array(self.rates, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "rates", arr)
+        object.__setattr__(self, "rates", _frozen(self.rates))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +93,16 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int):
     system with the current stable set and linear overflow rows for
     ``overloaded``, then re-derives the stable set among the other nodes
     from the result, until the set stops changing.  Returns one
-    (rates, stable) pair per linear solve, or None when ``budget`` solves
-    do not settle the set.  With an empty overloaded set this is the
-    Goodman-Massey iteration.
+    (rates, stable, unstable) triple per linear solve, where ``unstable``
+    holds every node at or above capacity (within the margin), or None
+    when ``budget`` solves do not settle the set.  With an empty
+    overloaded set this is the Goodman-Massey iteration.
     """
     n = net.n
     overflow_mask = np.zeros(n, dtype=bool)
     overflow_mask[list(overloaded)] = True
     stable: frozenset[int] = frozenset()
-    pairs = []
+    solves = []
     for _ in range(budget):
         stable_mask = np.zeros(n, dtype=bool)
         stable_mask[list(stable)] = True
@@ -112,29 +112,29 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int):
                 f"inner system is {result.status.value} for stable rows "
                 f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
             )
-        new_stable = classify_nodes(result.x, net.mu)[0] - overloaded
-        pairs.append((result.x, new_stable))
+        below, unstable = classify_nodes(result.x, net.mu)
+        new_stable = below - overloaded
+        solves.append((result.x, new_stable, unstable))
         if new_stable == stable:
-            return pairs
+            return solves
         stable = new_stable
     return None
 
 
 def _goodman_massey_pass(net: Network):
     """The Goodman-Massey iteration: at most one linear solve per node
-    plus a confirming solve (n + 2 allowed).  Returns the loop's pairs."""
-    pairs = _stable_set_loop(net, frozenset(), net.n + 2)
-    if pairs is None:
+    plus a confirming solve (n + 2 allowed).  Returns the loop's triples."""
+    solves = _stable_set_loop(net, frozenset(), net.n + 2)
+    if solves is None:
         raise NonConvergenceError("stable-set iteration failed to settle")
-    return pairs
+    return solves
 
 
-def _goodman_massey_trace(net: Network, pairs) -> SolveTrace:
+def _goodman_massey_trace(solves) -> SolveTrace:
     """Label a Goodman-Massey pass: one outer iteration per solve."""
-    everyone = frozenset(range(net.n))
     steps = tuple(
-        TraceStep(outer=k, inner=1, rates=rates, stable=stable, unstable=everyone - stable)
-        for k, (rates, stable) in enumerate(pairs, 1)
+        TraceStep(outer=k, inner=1, rates=rates, stable=stable, unstable=unstable)
+        for k, (rates, stable, unstable) in enumerate(solves, 1)
     )
     return SolveTrace(
         outer_iterations=len(steps), inner_iterations_total=len(steps), history=steps
@@ -181,9 +181,9 @@ def solve_goodman_massey(net: Network) -> tuple[TrafficSolution, SolveTrace]:
     isolated = isolated_classes(net)
     if isolated:
         raise IsolatedClassError(isolated)
-    pairs = _goodman_massey_pass(net)
-    solution = _solution(net, pairs[-1][0], Equation.GOODMAN_MASSEY)
-    return solution, _goodman_massey_trace(net, pairs)
+    solves = _goodman_massey_pass(net)
+    solution = _solution(net, solves[-1][0], Equation.GOODMAN_MASSEY)
+    return solution, _goodman_massey_trace(solves)
 
 
 def solve_overflow(
@@ -214,14 +214,14 @@ def solve_overflow(
     isolated = isolated_classes(net)
     if isolated:
         raise IsolatedClassError(isolated)
-    pairs = _goodman_massey_pass(net)
+    solves = _goodman_massey_pass(net)
     if not best_effort:
-        verdict = check_overflow_condition(net, classify_nodes(pairs[-1][0], net.mu)[1])
+        verdict = check_overflow_condition(net, solves[-1][2])
         if not verdict.holds():
             raise ConditionNotVerifiedError(verdict)
 
     if delegate_zero_overflow and not np.any(net.q):
-        rates, trace = pairs[-1][0], _goodman_massey_trace(net, pairs)
+        rates, trace = solves[-1][0], _goodman_massey_trace(solves)
     else:
         n = net.n
         cap = n * n + 1
@@ -229,17 +229,16 @@ def solve_overflow(
         steps: list[TraceStep] = []
         for kappa in range(1, n + 3):
             if kappa > 1:
-                pairs = _stable_set_loop(net, overloaded, cap - len(steps))
-                if pairs is None:
+                solves = _stable_set_loop(net, overloaded, cap - len(steps))
+                if solves is None:
                     raise NonConvergenceError(
                         f"exceeded iteration cap {cap} without reaching a fixed point"
                     )
             steps.extend(
                 TraceStep(outer=kappa, inner=ell, rates=r, stable=st, unstable=overloaded)
-                for ell, (r, st) in enumerate(pairs, 1)
+                for ell, (r, st, _) in enumerate(solves, 1)
             )
-            rates = pairs[-1][0]
-            new_overloaded = classify_nodes(rates, net.mu)[1]
+            rates, _, new_overloaded = solves[-1]
             if new_overloaded == overloaded:
                 break
             overloaded = new_overloaded
@@ -300,6 +299,11 @@ class OracleVerdict(_ValueEq):
     base: np.ndarray | None = None
     direction_note: str | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "solutions", tuple(map(_frozen, self.solutions)))
+        if self.base is not None:
+            object.__setattr__(self, "base", _frozen(self.base))
+
 
 def _region(mu, stable_mask, slack=PATTERN_SLACK):
     """A pattern's region as ``sign * x <= bound``: stable nodes at most
@@ -312,8 +316,7 @@ def _null_space(mt: np.ndarray) -> np.ndarray:
     """Rows spanning {v : v @ m = 0}, via SVD of the transpose system."""
     _, s, vh = np.linalg.svd(mt)
     tol = max(mt.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    null_rows = vh[s.size - np.sum(s <= tol) :] if np.sum(s <= tol) else vh[:0]
-    return null_rows
+    return vh[int(np.sum(s > tol)) :]
 
 
 def _interval_for_line(x0, v, sign, bound):
@@ -383,80 +386,69 @@ def enumerate_solutions(net: Network) -> OracleVerdict:
 
     For every stable-pattern subset S the fully linearized equation (rows
     of P for S, capacity outputs elsewhere, linear overflow rows for the
-    complement) is solved and the result kept only if it is consistent
-    with the pattern within a small boundary slack and actually satisfies
-    the nonlinear equation.  Singular-but-consistent patterns whose
-    affine solution family meets the pattern's region are reported as a
-    continuum.  Distinct isolated solutions are deduplicated by max-norm.
+    complement) is solved.  A unique solution is a family whose low and
+    high ends coincide; a singular-but-consistent pattern's affine family
+    is clipped to the pattern's region, with ends extremal along the
+    coordinate sum.  One rule decides every family: one wider than 1e-9
+    whose two ends both satisfy the nonlinear equation witnesses a
+    continuum; otherwise its low end is a candidate when it lies in the
+    pattern's region (within a small boundary slack) and satisfies the
+    equation.  Distinct candidates, deduplicated by max-norm, set the kind.
     """
     n = net.n
     if n > ORACLE_NODE_LIMIT:
         raise OracleSizeError(n, ORACLE_NODE_LIMIT)
 
-    candidates: list[np.ndarray] = []
-    continuum = None
-    for mask in range(2**n):
-        stable_mask = ((mask >> np.arange(n)) & 1).astype(bool)
-        sign, bound = _region(net.mu, stable_mask)
-        system, rhs = _pattern_system(net, stable_mask, ~stable_mask)
-        result = solve_left(system, rhs)
-
-        if result.status is SolveStatus.UNIQUE:
-            x = result.x
-            if np.all(sign * x <= bound):
-                if residual(net, x, Equation.OVERFLOW) < ORACLE_RESIDUAL_TOL:
-                    candidates.append(x)
-            continue
-        if result.status is SolveStatus.SINGULAR_INCONSISTENT:
-            continue
-
-        # Singular but consistent: the solution family is affine.
-        x0 = result.x
-        basis = _null_space(system.T)
-        if basis.shape[0] == 0:
-            continue
-        points = _affine_region_points(x0, basis, net.mu, stable_mask)
-        if points is None:
-            continue
-        low, high = points
-        ok_low = residual(net, low, Equation.OVERFLOW) < ORACLE_RESIDUAL_TOL
-        ok_high = residual(net, high, Equation.OVERFLOW) < ORACLE_RESIDUAL_TOL
-        if float(np.max(np.abs(high - low))) > 1e-9 and ok_low and ok_high:
-            if continuum is None:
-                direction = basis[0] / np.linalg.norm(basis[0])
-                continuum = (stable_mask, low, direction)
-        elif ok_low and np.all(sign * low <= bound):
-            candidates.append(low)
-
-    checked = 2**n
-    if continuum is not None:
-        stable_mask, base, direction = continuum
-        if direction.sum() < 0:
-            direction = -direction
-        note = "family base + t * [" + ", ".join(f"{v:.6g}" for v in direction) + "]"
-        return OracleVerdict(
-            kind=OracleKind.CONTINUUM,
-            solutions=(),
-            patterns_checked=checked,
-            pattern=frozenset(int(i) for i in np.flatnonzero(stable_mask)),
-            base=base,
-            direction_note=note,
-        )
+    def satisfies(x):
+        return residual(net, x, Equation.OVERFLOW) < ORACLE_RESIDUAL_TOL
 
     distinct: list[np.ndarray] = []
-    for cand in candidates:
-        if all(float(np.max(np.abs(cand - d))) > DEDUP_TOL for d in distinct):
-            distinct.append(cand)
-    if not distinct:
-        return OracleVerdict(
-            kind=OracleKind.NO_SOLUTION, solutions=(), patterns_checked=checked
-        )
-    if len(distinct) == 1:
-        return OracleVerdict(
-            kind=OracleKind.UNIQUE, solutions=(distinct[0],), patterns_checked=checked
-        )
+    witness = None
+    for mask in range(2**n):
+        stable_mask = ((mask >> np.arange(n)) & 1).astype(bool)
+        system, rhs = _pattern_system(net, stable_mask, ~stable_mask)
+        result = solve_left(system, rhs)
+        if result.status is SolveStatus.SINGULAR_INCONSISTENT:
+            continue
+        if result.status is SolveStatus.UNIQUE:
+            low = high = result.x
+        else:
+            basis = _null_space(system.T)
+            if basis.shape[0] == 0:
+                continue
+            points = _affine_region_points(result.x, basis, net.mu, stable_mask)
+            if points is None:
+                continue
+            low, high = points
+
+        # Region first, and no width test for a unique solution (high is
+        # low): most patterns are unique, and for one outside its region
+        # the region test is all the rule costs.
+        sign, bound = _region(net.mu, stable_mask)
+        inside = np.all(sign * low <= bound)
+        wide = high is not low and float(np.max(np.abs(high - low))) > 1e-9
+        if not ((inside or wide) and satisfies(low)):
+            continue
+        if wide and satisfies(high):
+            if witness is None:
+                direction = basis[0] / np.linalg.norm(basis[0])
+                if direction.sum() < 0:
+                    direction = -direction
+                note = ", ".join(f"{v:.6g}" for v in direction)
+                witness = OracleVerdict(
+                    kind=OracleKind.CONTINUUM,
+                    solutions=(),
+                    patterns_checked=2**n,
+                    pattern=frozenset(int(i) for i in np.flatnonzero(stable_mask)),
+                    base=low,
+                    direction_note=f"family base + t * [{note}]",
+                )
+        elif inside and all(float(np.max(np.abs(low - d))) > DEDUP_TOL for d in distinct):
+            distinct.append(low)
+
+    if witness is not None:
+        return witness
+    kinds = (OracleKind.NO_SOLUTION, OracleKind.UNIQUE, OracleKind.MULTIPLE_ISOLATED)
     return OracleVerdict(
-        kind=OracleKind.MULTIPLE_ISOLATED,
-        solutions=tuple(distinct),
-        patterns_checked=checked,
+        kind=kinds[min(len(distinct), 2)], solutions=tuple(distinct), patterns_checked=2**n
     )

@@ -99,6 +99,16 @@ def test_solve_left_pivot_test_is_relative_to_row_scale():
     assert solve_left(singular, np.zeros(3)).status is SolveStatus.SINGULAR_CONSISTENT
 
 
+def test_solve_left_never_reports_a_non_finite_unique_solution():
+    # Equilibrating by a column scale near the underflow limit overflows
+    # b / scale; the solve must fall through to the singular branch.
+    for a in ([[1e-320, 0.0], [0.0, 1.0]], [[1e-310, 1.0], [0.0, 1.0]]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = solve_left(np.array(a), np.ones(2))
+        assert result.status is not SolveStatus.UNIQUE
+        assert result.x is None or np.all(np.isfinite(result.x))
+
+
 class TestEliminateFallback:
     """The solve_left tests above, on the pure-Python fallback kernel."""
 
@@ -119,6 +129,9 @@ class TestEliminateFallback:
     )
     test_solve_left_pivot_test_is_relative_to_row_scale = staticmethod(
         test_solve_left_pivot_test_is_relative_to_row_scale
+    )
+    test_solve_left_never_reports_a_non_finite_unique_solution = staticmethod(
+        test_solve_left_never_reports_a_non_finite_unique_solution
     )
 
 

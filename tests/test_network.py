@@ -5,6 +5,7 @@ import pytest
 
 from trafficflow import (
     Equation,
+    Network,
     NetworkFormatError,
     gen_example3,
     gen_example4,
@@ -43,6 +44,27 @@ def test_negative_entries_reported():
     problems = validate_network(net)
     assert any("alpha[1]" in p for p in problems)
     assert any("q[1][2]" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"n": 0}, "n must be a positive integer, got 0"),
+        ({"n": 1.5}, "n must be a positive integer, got 1.5"),
+        ({"alpha": np.zeros(3)}, "alpha has shape (3,), expected (2,)"),
+        ({"mu": np.ones((2, 1))}, "mu has shape (2, 1), expected (2,)"),
+        ({"p": np.zeros((2, 3))}, "p has shape (2, 3), expected (2, 2)"),
+        ({"q": np.zeros(2)}, "q has shape (2,), expected (2, 2)"),
+        ({"alpha": [0.0, np.nan]}, "alpha contains non-finite entries"),
+        ({"mu": [1.0, np.inf]}, "mu contains non-finite entries"),
+        ({"p": [[0.0, np.nan], [0.0, 0.0]]}, "p contains non-finite entries"),
+        ({"q": [[0.0, 0.0], [-np.inf, 0.0]]}, "q contains non-finite entries"),
+    ],
+)
+def test_validate_network_reports_malformed_structure(changes, message):
+    # Network itself checks nothing, so each fault reaches validate_network.
+    valid = dict(n=2, alpha=np.zeros(2), mu=np.ones(2), p=np.zeros((2, 2)), q=np.zeros((2, 2)))
+    assert validate_network(Network(**{**valid, **changes})) == [message]
 
 
 def test_residual_example4_exact_solution():

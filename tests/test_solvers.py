@@ -184,6 +184,15 @@ def test_results_compare_by_value():
     assert verdict != replace(verdict, base=verdict.base + 1.0)
 
 
+def test_results_are_read_only():
+    solution, trace = solve_overflow(gen_example2(4), best_effort=True)
+    continuum = enumerate_solutions(gen_example4(1.0))
+    unique = enumerate_solutions(gen_example4(0.5))
+    for arr in (solution.rates, trace.history[0].rates, continuum.base, unique.solutions[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 def test_checked_overflow_on_long_chains_estimates_no_radius(monkeypatch):
     # Radii are estimated only when reported: a condition that holds and
     # a Jackson solve that succeeds need none.

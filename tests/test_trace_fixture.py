@@ -84,7 +84,8 @@ def record():
 def small_networks(count):
     """Seeded networks of 2 to 4 nodes built to hit singular patterns:
     integer weights at density 0.5 with a zero diagonal, each row of P
-    and Q scaled to sum to 1 or 0.5, and alpha and mu in steps of 1/2."""
+    and Q scaled to sum to 1 or 0.5, alpha in {0, 1/2, 1} and mu in
+    {1/2, 1}."""
     rng = np.random.default_rng(3)
     nets = []
     for _ in range(count):

@@ -10,7 +10,9 @@ the OpenBLAS that numpy's wheel bundles
 (``numpy.libs/libscipy_openblas64_*.so``), called through ctypes so
 that SciPy is never imported.  Where that library is missing, the
 pure-Python elimination ``_eliminate`` is the kernel; the import decides
-which, once.
+which, once.  Both kernels take a stack of systems with a leading batch
+axis and solve it slice by slice: ``solve_left`` passes a stack of one,
+and the census passes a chunk of pattern systems.
 """
 
 from __future__ import annotations
@@ -78,55 +80,65 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _eliminate(a: np.ndarray, scale: np.ndarray, b: np.ndarray):
-    """Fallback kernel for ``x @ a = b``: Gaussian elimination with scaled
-    partial pivoting on ``a.T``, whose positive row scales are ``scale``.
+def _eliminate(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fallback kernel for the stacked systems ``x[i] @ a[i] = b[i]``:
+    Gaussian elimination with scaled partial pivoting on each ``a[i].T``,
+    whose positive row scales are ``scale[i]``, one slice at a time.
 
-    Returns the solution, or None when a pivot falls below PIVOT_TOL
-    relative to its row scale.
+    Returns the solutions, with a row of NaN for each slice where a pivot
+    falls below PIVOT_TOL relative to its row scale.
     """
-    n = a.shape[0]
-    a, b, scale = a.T.copy(), b.copy(), scale.copy()
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k]) / scale[k:]))
-        if abs(a[p, k]) <= PIVOT_TOL * scale[p]:
-            return None
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-            scale[[k, p]] = scale[[p, k]]
-        if k + 1 < n:
-            factors = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-            b[k + 1 :] -= factors * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
+    n = b.shape[1]
+    out = np.full(b.shape, np.nan)
+    # Private copies; the row swaps below act on one slice of them.
+    for x, t, rhs, rs in zip(out, a.transpose(0, 2, 1).copy(), b.copy(), scale.copy()):
+        for k in range(n):
+            p = k + int(np.argmax(np.abs(t[k:, k]) / rs[k:]))
+            if abs(t[p, k]) <= PIVOT_TOL * rs[p]:
+                break
+            if p != k:
+                t[[k, p]] = t[[p, k]]
+                rhs[[k, p]] = rhs[[p, k]]
+                rs[[k, p]] = rs[[p, k]]
+            if k + 1 < n:
+                factors = t[k + 1 :, k] / t[k, k]
+                t[k + 1 :, k:] -= np.outer(factors, t[k, k:])
+                rhs[k + 1 :] -= factors * rhs[k]
+        else:
+            for k in range(n - 1, -1, -1):
+                x[k] = (rhs[k] - t[k, k + 1 :] @ x[k + 1 :]) / t[k, k]
+    return out
 
 
-def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray):
-    """LAPACK kernel for ``x @ a = b``.
+def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LAPACK kernel for the stacked systems ``x[i] @ a[i] = b[i]``.
 
-    Factors ``D^-1 a.T = P L U`` with ``dgetrf``, where D holds the row
-    scales of ``a.T``, and substitutes ``D^-1 b`` with one ``dgetrs``.
-    Partial pivoting on the equilibrated system picks the pivots of
-    ``_eliminate``'s scaled partial pivoting, and ``|U_kk| <= PIVOT_TOL``
-    is its relative pivot test.  Returns the solution, or None when
-    singular.
+    Factors each ``D^-1 a[i].T = P L U`` with ``dgetrf``, where D holds
+    the row scales of ``a[i].T``, and substitutes ``D^-1 b[i]`` with one
+    ``dgetrs``, slice by slice by address.  Partial pivoting on the
+    equilibrated system picks the pivots of ``_eliminate``'s scaled
+    partial pivoting, and ``|U_kk| <= PIVOT_TOL`` is its relative pivot
+    test.  Returns the solutions, with a row of NaN for each singular slice.
     """
     getrf, getrs = _LAPACK
-    n = a.shape[0]
-    # C order, so LAPACK's column-major view of it is D^-1 a.T.
-    lu = np.divide(a, scale, out=np.empty((n, n)))
+    k, n = b.shape
+    # C order, so LAPACK's column-major view of each slice is D^-1 a[i].T.
+    lu = np.divide(a, scale[:, None, :], out=np.empty(a.shape))
     x = b / scale
-    ints = np.empty(n + 3, dtype=np.int64)  # n, nrhs = 1, info, ipiv
+    # n, nrhs = 1, info, then each slice's row interchanges.
+    ints = np.empty(3 + k * n, dtype=np.int64)
     ints[:3] = n, 1, 0
-    p = ints.ctypes.data
-    getrf(p, p, lu.ctypes.data, p, p + 24, p + 16)
-    if not (np.abs(lu.diagonal()) > PIVOT_TOL).all():
-        return None
-    getrs(b"N", p, p + 8, lu.ctypes.data, p, p + 24, x.ctypes.data, p, p + 16, 1)
+    p, lu_at, x_at = ints.ctypes.data, lu.ctypes.data, x.ctypes.data
+    row = 8 * n
+    for i in range(k):
+        getrf(p, p, lu_at + i * n * row, p, p + 24 + i * row, p + 16)
+    regular = (np.abs(lu.reshape(k, n * n)[:, :: n + 1]) > PIVOT_TOL).all(axis=1)
+    for i in range(k):
+        if regular[i]:
+            at = i * row
+            getrs(b"N", p, p + 8, lu_at + n * at, p, p + 24 + at, x_at + at, p, p + 16, 1)
+        else:
+            x[i] = np.nan
     return x
 
 
@@ -134,39 +146,60 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray):
 _kernel = _eliminate if _LAPACK is None else _solve_lapack
 
 
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel solutions of the stacked systems ``x[i] @ a[i] = b[i]``,
+    for ``a`` of shape (k, n, n) and ``b`` of shape (k, n).
+
+    A row that is not finite marks a singular system: the kernel fills a
+    slice that fails the pivot test with NaN, and dividing by a column
+    scale near the underflow limit (the LAPACK kernel's equilibration, or
+    the fallback's substitution) can overflow a solution.  That is a
+    verdict, not an accident, so the floating-point warning is silenced.
+    Non-finite input raises ValueError.
+    """
+    if b.shape[1] == 0:  # LAPACK rejects a leading dimension of 0
+        return b.copy()
+    # Row scales of each a[i].T; a NaN or inf entry makes its scale
+    # non-finite, and a zero row stays zero, so its scale of 1 changes no
+    # pivot.
+    scale = np.abs(a).max(axis=1)
+    if not (np.isfinite(scale).all() and np.isfinite(b).all()):
+        raise ValueError("matrix and rhs must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _kernel(a, np.where(scale > 0, scale, 1.0), b)
+
+
+def _solve_singular(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
+    """Classify ``x @ a = b`` after its kernel solve failed, by the
+    max-norm residual of a least-squares candidate against
+    CONSISTENCY_TOL * (1 + |b|); a consistent system returns that
+    candidate as ``x``."""
+    candidate, *_ = np.linalg.lstsq(a.T, b, rcond=None)
+    b_norm = float(np.max(np.abs(b)))
+    if float(np.max(np.abs(candidate @ a - b))) > CONSISTENCY_TOL * (1.0 + b_norm):
+        return LinearSolveResult(status=SolveStatus.SINGULAR_INCONSISTENT, x=None)
+    return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
+
+
 def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     """Solve ``x @ a_matrix = b`` for the row vector x.
 
     The kernel factors the transposed system with scaled partial
-    pivoting and substitutes once.  A unique solution is reported only
-    when every pivot clears the relative threshold and the solution is
-    finite (equilibrating a column near the underflow limit can overflow
-    it); otherwise the system is classified as singular-consistent or
-    singular-inconsistent by the max-norm residual of a least-squares
-    candidate against CONSISTENCY_TOL * (1 + |b|); a consistent system
-    returns that candidate as ``x``.  Non-finite input raises ValueError.
+    pivoting and substitutes once, as a stack of one system.  A unique
+    solution is reported only when every pivot clears the relative
+    threshold and the solution is finite; otherwise ``_solve_singular``
+    classifies the system as singular-consistent or
+    singular-inconsistent.  Non-finite input raises ValueError.
     """
     a = _check_square(a_matrix)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
-
-    if n == 0:
-        return LinearSolveResult(status=SolveStatus.UNIQUE, x=b.copy())
-    # Row scales of a.T; a NaN or inf entry makes its scale non-finite.
-    scale = np.max(np.abs(a), axis=0)
-    b_norm = float(np.max(np.abs(b)))
-    if not (math.isfinite(b_norm) and np.all(np.isfinite(scale))):
-        raise ValueError("matrix and rhs must be finite")
-    # A zero row of a.T stays zero, so its scale of 1 changes no pivot.
-    x = _kernel(a, np.where(scale > 0, scale, 1.0), b)
-    if x is not None and np.isfinite(x).all():
+    x = _solve_stack(a[None], b[None])[0]
+    if np.isfinite(x).all():
         return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
-    candidate, *_ = np.linalg.lstsq(a.T, b, rcond=None)
-    if float(np.max(np.abs(candidate @ a - b))) > CONSISTENCY_TOL * (1.0 + b_norm):
-        return LinearSolveResult(status=SolveStatus.SINGULAR_INCONSISTENT, x=None)
-    return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
+    return _solve_singular(a, b)
 
 
 def neumann_values(m: np.ndarray) -> np.ndarray | None:

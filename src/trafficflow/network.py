@@ -114,7 +114,7 @@ def classify_nodes(rates, mu) -> tuple[frozenset[int], frozenset[int]]:
     """
     rates = np.asarray(rates, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    unstable = frozenset(int(i) for i in np.flatnonzero(rates >= mu - STABILITY_MARGIN))
+    unstable = frozenset((rates >= mu - STABILITY_MARGIN).nonzero()[0].tolist())
     stable = frozenset(range(len(mu))) - unstable
     return stable, unstable
 

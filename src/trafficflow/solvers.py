@@ -25,6 +25,7 @@ from .errors import (
     SpectralRadiusAtLeastOneError,
 )
 from .linalg import RADIUS_MARGIN, SolveStatus, neumann_values, solve_left, spectral_radius
+from .linalg import _solve_singular, _solve_stack
 from .network import Equation, Network, TrafficSolution, _frozen, _ValueEq
 from .network import classify_nodes, residual
 from .structure import check_overflow_condition, isolated_classes
@@ -42,6 +43,9 @@ DEDUP_TOL = 1e-7
 #: Monotone fixed-point iteration: stop when successive iterates are closer.
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_CAP = 10**6
+#: Enumeration oracle: matrix entries per chunk of pattern systems solved
+#: together (bounds the census's memory, not its result).
+CENSUS_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,25 +69,28 @@ class SolveTrace(_ValueEq):
     history: tuple[TraceStep, ...]
 
 
-def _pattern_system(net: Network, stable_mask, overflow_mask):
-    """Linearize the overflow equation for one stable/overflow pattern.
+def _pattern_system(net: Network, stable: np.ndarray, overflow: np.ndarray):
+    """Linearize the overflow equation for a stack of stable/overflow
+    patterns, given as boolean masks of shape (k, n).
 
-    Returns (system, rhs) with ``rates @ system = rhs`` equivalent to
+    Returns (systems, rhs), of shapes (k, n, n) and (k, n), with
+    ``rates @ systems[i] = rhs[i]`` equivalent to
     rates = alpha + mu @ P_(rest) + rates @ P_(stable) + (rates - mu) @ Q_(overflow):
-    rows of P in ``stable_mask`` route the unknown rate, the remaining
-    rows run at capacity, and rows of Q in ``overflow_mask`` carry linear
-    (not clipped) overflow terms.
+    rows of P in ``stable[i]`` route the unknown rate, the remaining rows
+    run at capacity, and rows of Q in ``overflow[i]`` carry linear (not
+    clipped) overflow terms.  Each rhs row is its own vector-matrix
+    product, so its bits do not depend on the rest of the stack.
     """
-    coeff = np.where(stable_mask[:, None], net.p, 0.0) + np.where(
-        overflow_mask[:, None], net.q, 0.0
+    coeff = np.where(stable[:, :, None], net.p, 0.0) + np.where(
+        overflow[:, :, None], net.q, 0.0
     )
-    system = np.eye(net.n) - coeff
+    systems = np.eye(net.n) - coeff
     rhs = (
         net.alpha
-        + (np.where(~stable_mask, net.mu, 0.0)) @ net.p
-        - (np.where(overflow_mask, net.mu, 0.0)) @ net.q
+        + np.matmul(np.where(stable, 0.0, net.mu)[:, None, :], net.p)[:, 0]
+        - np.matmul(np.where(overflow, net.mu, 0.0)[:, None, :], net.q)[:, 0]
     )
-    return system, rhs
+    return systems, rhs
 
 
 def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int):
@@ -99,14 +106,16 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int):
     overloaded set this is the Goodman-Massey iteration.
     """
     n = net.n
-    overflow_mask = np.zeros(n, dtype=bool)
-    overflow_mask[list(overloaded)] = True
+    # Masks of a stack of one pattern.
+    overflow_mask = np.zeros((1, n), dtype=bool)
+    overflow_mask[0, list(overloaded)] = True
     stable: frozenset[int] = frozenset()
     solves = []
     for _ in range(budget):
-        stable_mask = np.zeros(n, dtype=bool)
-        stable_mask[list(stable)] = True
-        result = solve_left(*_pattern_system(net, stable_mask, overflow_mask))
+        stable_mask = np.zeros((1, n), dtype=bool)
+        stable_mask[0, list(stable)] = True
+        systems, rhs = _pattern_system(net, stable_mask, overflow_mask)
+        result = solve_left(systems[0], rhs[0])
         if result.status is not SolveStatus.UNIQUE:
             raise SingularInnerSystemError(
                 f"inner system is {result.status.value} for stable rows "
@@ -381,19 +390,65 @@ def _affine_region_points(x0, basis, mu, stable_mask):
     return points[0], points[1]
 
 
+def _pattern_families(net: Network):
+    """Every census pattern's family of linearized solutions that the
+    acceptance rule could keep, in mask order, as
+    ``(stable_mask, low, high, basis)``.
+
+    The patterns are solved in chunks of about CENSUS_CHUNK_ENTRIES
+    matrix entries: one stack of pattern systems per chunk, one kernel
+    call, and the finiteness and region tests over the whole chunk.  A
+    unique solution is one point (``low is high``, no basis); it is
+    yielded only when it lies in its pattern's region, since outside it
+    the rule drops a point.  A singular pattern is classified by
+    ``_solve_singular``, and a consistent one's affine family is clipped
+    to the region, with ``basis`` spanning its directions.
+    """
+    n = net.n
+    total = 2**n
+    chunk = max(1, CENSUS_CHUNK_ENTRIES // max(1, n * n))
+    bits = np.arange(n)
+    for start in range(0, total, chunk):
+        masks = np.arange(start, min(start + chunk, total))
+        stable = ((masks[:, None] >> bits) & 1).astype(bool)
+        systems, rhs = _pattern_system(net, stable, ~stable)
+        x = _solve_stack(systems, rhs)
+        unique = np.isfinite(x).all(axis=1)
+        sign, bound = _region(net.mu, stable)
+        inside = (sign * x <= bound).all(axis=1)
+        for i in np.flatnonzero(inside | ~unique).tolist():
+            if unique[i]:
+                point = x[i]
+                yield stable[i], point, point, None
+                continue
+            result = _solve_singular(systems[i], rhs[i])
+            if result.status is SolveStatus.SINGULAR_INCONSISTENT:
+                continue
+            basis = _null_space(systems[i].T)
+            if basis.shape[0] == 0:
+                continue
+            points = _affine_region_points(result.x, basis, net.mu, stable[i])
+            if points is not None:
+                yield stable[i], *points, basis
+
+
 def enumerate_solutions(net: Network) -> OracleVerdict:
     """Brute-force census of the overflow equation's solutions.
 
     For every stable-pattern subset S the fully linearized equation (rows
     of P for S, capacity outputs elsewhere, linear overflow rows for the
-    complement) is solved.  A unique solution is a family whose low and
-    high ends coincide; a singular-but-consistent pattern's affine family
-    is clipped to the pattern's region, with ends extremal along the
-    coordinate sum.  One rule decides every family: one wider than 1e-9
-    whose two ends both satisfy the nonlinear equation witnesses a
-    continuum; otherwise its low end is a candidate when it lies in the
-    pattern's region (within a small boundary slack) and satisfies the
-    equation.  Distinct candidates, deduplicated by max-norm, set the kind.
+    complement) is solved.  The patterns are solved in memory-bounded
+    chunks with the same kernel as ``solve_left``, so each pattern's
+    solution has the bits of its own solve.  A unique solution is a
+    family whose low and high ends coincide; a singular-but-consistent
+    pattern's affine family is clipped to the pattern's region, with ends
+    extremal along the coordinate sum.  One rule decides every family:
+    one wider than 1e-9 whose two ends both satisfy the nonlinear
+    equation witnesses a continuum; otherwise its low end is a candidate
+    when it lies in the pattern's region (within a small boundary slack)
+    and satisfies the equation.  Distinct candidates, deduplicated by
+    max-norm in mask order, set the kind; the first witness in mask order
+    is the one reported.
     """
     n = net.n
     if n > ORACLE_NODE_LIMIT:
@@ -404,26 +459,8 @@ def enumerate_solutions(net: Network) -> OracleVerdict:
 
     distinct: list[np.ndarray] = []
     witness = None
-    for mask in range(2**n):
-        stable_mask = ((mask >> np.arange(n)) & 1).astype(bool)
-        system, rhs = _pattern_system(net, stable_mask, ~stable_mask)
-        result = solve_left(system, rhs)
-        if result.status is SolveStatus.SINGULAR_INCONSISTENT:
-            continue
-        if result.status is SolveStatus.UNIQUE:
-            low = high = result.x
-        else:
-            basis = _null_space(system.T)
-            if basis.shape[0] == 0:
-                continue
-            points = _affine_region_points(result.x, basis, net.mu, stable_mask)
-            if points is None:
-                continue
-            low, high = points
-
-        # Region first, and no width test for a unique solution (high is
-        # low): most patterns are unique, and for one outside its region
-        # the region test is all the rule costs.
+    for stable_mask, low, high, basis in _pattern_families(net):
+        # No width test for a unique solution (high is low).
         sign, bound = _region(net.mu, stable_mask)
         inside = np.all(sign * low <= bound)
         wide = high is not low and float(np.max(np.abs(high - low))) > 1e-9

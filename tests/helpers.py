@@ -21,6 +21,28 @@ def corpus(count, seed_base=0, sizes=range(3, 11)):
     ]
 
 
+def small_networks(count):
+    """Seeded networks of 2 to 4 nodes built to hit singular patterns:
+    integer weights at density 0.5 with a zero diagonal, each row of P
+    and Q scaled to sum to 1 or 0.5, alpha in {0, 1/2, 1} and mu in
+    {1/2, 1}."""
+    rng = np.random.default_rng(3)
+    nets = []
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        mats = []
+        for _ in range(2):
+            w = rng.integers(1, 4, size=(n, n)) * (rng.random((n, n)) < 0.5)
+            np.fill_diagonal(w, 0)
+            sums = w.sum(axis=1, keepdims=True)
+            target = rng.choice([1.0, 0.5], size=(n, 1))
+            mats.append(np.where(sums > 0, w * target / np.where(sums > 0, sums, 1), 0.0))
+        alpha = rng.integers(0, 3, size=n) / 2
+        mu = rng.integers(1, 3, size=n) / 2
+        nets.append(make_network(alpha, mu, mats[0], mats[1]))
+    return nets
+
+
 def zero_overflow(net):
     """Project a network onto Q = 0."""
     return make_network(net.alpha, net.mu, net.p)

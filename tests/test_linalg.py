@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
-from helpers import corpus
+from helpers import corpus, small_networks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trafficflow import (
     SolveStatus,
+    enumerate_solutions,
     gen_example2,
     gen_example3,
     gen_example4,
@@ -15,7 +18,7 @@ from trafficflow import (
     spectral_radius,
 )
 from trafficflow import linalg
-from trafficflow.linalg import RADIUS_MARGIN, neumann_values
+from trafficflow.linalg import RADIUS_MARGIN, _solve_stack, neumann_values
 from trafficflow.solvers import _pattern_system
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
@@ -109,6 +112,15 @@ def test_solve_left_never_reports_a_non_finite_unique_solution():
         assert result.x is None or np.all(np.isfinite(result.x))
 
 
+def test_solve_left_equilibration_raises_no_warning():
+    # A column scale near the underflow limit overflows the equilibrated
+    # rhs; the solve classifies that silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_left(np.array([[1e-320, 0.0], [0.0, 1.0]]), np.ones(2))
+    assert result.status is not SolveStatus.UNIQUE
+
+
 class TestEliminateFallback:
     """The solve_left tests above, on the pure-Python fallback kernel."""
 
@@ -133,20 +145,29 @@ class TestEliminateFallback:
     test_solve_left_never_reports_a_non_finite_unique_solution = staticmethod(
         test_solve_left_never_reports_a_non_finite_unique_solution
     )
+    test_solve_left_equilibration_raises_no_warning = staticmethod(
+        test_solve_left_equilibration_raises_no_warning
+    )
 
 
 def test_kernels_solve_without_touching_their_arguments():
-    # solve_left hands both kernels the same (a, scale, b); the pivoting
-    # swaps rows of private copies only.
+    # solve_left and the census hand both kernels the same stacked
+    # (a, scale, b); the pivoting swaps rows of private copies only.
     rng = np.random.default_rng(5)
     kernels = [linalg._eliminate] + [linalg._solve_lapack] * (linalg._LAPACK is not None)
     for kernel in kernels:
-        a = rng.random((6, 6))
-        args = (a, np.max(np.abs(a), axis=0), rng.random(6))
+        a = rng.random((3, 6, 6))
+        args = (a, np.max(np.abs(a), axis=1), rng.random((3, 6)))
         copies = [arg.copy() for arg in args]
         x = kernel(*args)
-        assert np.allclose(x @ a, args[2], rtol=0, atol=1e-12)
+        assert np.allclose(np.matmul(x[:, None, :], a)[:, 0], args[2], rtol=0, atol=1e-12)
         assert all(np.array_equal(arg, c) for arg, c in zip(args, copies))
+
+
+def _census_systems(net):
+    """Every census pattern system of ``net``, in mask order, as one stack."""
+    stable = ((np.arange(2**net.n)[:, None] >> np.arange(net.n)) & 1).astype(bool)
+    return stable, *_pattern_system(net, stable, ~stable)
 
 
 @pytest.mark.skipif(linalg._LAPACK is None, reason="numpy bundles no ILP64 OpenBLAS")
@@ -155,13 +176,12 @@ def test_lapack_and_fallback_agree_on_census_systems(monkeypatch):
     # same status, and unique solutions within 1e-12 relative.
     checked = 0
     for net in corpus(40, sizes=range(3, 9)):
-        for mask in range(2**net.n):
-            stable = ((mask >> np.arange(net.n)) & 1).astype(bool)
-            system, rhs = _pattern_system(net, stable, ~stable)
+        _, systems, rhs = _census_systems(net)
+        for system, b in zip(systems, rhs):
             results = []
             for kernel in (linalg._solve_lapack, linalg._eliminate):
                 monkeypatch.setattr(linalg, "_kernel", kernel)
-                results.append(solve_left(system, rhs))
+                results.append(solve_left(system, b))
             fast, slow = results
             assert fast.status is slow.status
             if fast.status is SolveStatus.UNIQUE:
@@ -169,6 +189,49 @@ def test_lapack_and_fallback_agree_on_census_systems(monkeypatch):
                 assert np.max(np.abs(fast.x - slow.x)) <= 1e-12 * scale
                 checked += 1
     assert checked > 1000
+
+
+def test_stacked_census_solves_match_solve_left_bit_for_bit():
+    # The census solves a whole stack of pattern systems with one kernel
+    # call; each pattern must get solve_left's status and solution bits,
+    # from a system built alone.
+    singular = 0
+    for net in corpus(40) + small_networks(400):
+        stable, systems, rhs = _census_systems(net)
+        stacked = _solve_stack(systems, rhs)
+        for mask, stacked_system, x in zip(stable, systems, stacked):
+            system, b = _pattern_system(net, mask[None], ~mask[None])
+            assert system[0].tobytes() == stacked_system.tobytes()
+            result = solve_left(system[0], b[0])
+            assert (result.status is SolveStatus.UNIQUE) == np.isfinite(x).all()
+            if result.status is SolveStatus.UNIQUE:
+                assert result.x.tobytes() == x.tobytes()
+            else:
+                singular += 1
+    assert singular > 100
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy bundles no ILP64 OpenBLAS")
+def test_census_verdicts_agree_under_fallback_kernel(monkeypatch):
+    # The overflow triangle at the benchmark's five input rates, and
+    # random networks: same kinds and patterns, solutions within 1e-12.
+    nets = [gen_example4(a) for a in (0.25, 0.5, 0.9, 1.0, 2.0)]
+    nets += corpus(6, sizes=range(3, 9))
+    fast = [enumerate_solutions(net) for net in nets]
+    monkeypatch.setattr(linalg, "_kernel", linalg._eliminate)
+    for net, want in zip(nets, fast):
+        got = enumerate_solutions(net)
+        assert (got.kind, got.patterns_checked, got.pattern) == (
+            want.kind,
+            want.patterns_checked,
+            want.pattern,
+        )
+        assert len(got.solutions) == len(want.solutions)
+        pairs = list(zip(got.solutions, want.solutions))
+        if want.base is not None:
+            pairs.append((got.base, want.base))
+        for x, y in pairs:
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 def test_spectral_radius_fixed_points():

@@ -22,6 +22,7 @@ from trafficflow import (
     ConditionNotVerifiedError,
     Equation,
     IsolatedClassError,
+    NonConvergenceError,
     OracleKind,
     OracleSizeError,
     SpectralRadiusAtLeastOneError,
@@ -280,6 +281,27 @@ def test_verified_condition_leaves_no_inner_system_singular(net):
         solve_overflow(net)
     except (ConditionNotVerifiedError, IsolatedClassError):
         pass
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonConvergenceError,
+    reason="open fault: the 1e-9 margin adds a node 7.75e-10 below capacity "
+    "to the overloaded set, and the outer loop cycles between {1} and {1, 2}",
+)
+def test_checked_overflow_settles_next_to_the_margin():
+    # Found by a longer hard_networks run.  The condition holds, and the
+    # census's unique solution has node 2 at 7.75e-10 below capacity.
+    p = np.zeros((3, 3))
+    p[0, 2] = 0.99224806
+    q = np.zeros((3, 3))
+    q[0, 1] = 0.00775194
+    q[1, 0] = q[2, 0] = 1.0
+    net = make_network([0.0, 0.1, 0.1], [0.2, 0.0999999, 0.1000001], p, q)
+    solution, _ = solve_overflow(net)
+    verdict = enumerate_solutions(net)
+    assert verdict.kind is OracleKind.UNIQUE
+    np.testing.assert_allclose(solution.rates, verdict.solutions[0], rtol=1e-9, atol=0)
 
 
 def test_overflow_permutation_equivariant():

@@ -17,8 +17,8 @@ patterns checked, pattern, direction note, and every solution and base
 as ``float.hex``) for ``corpus(60, seed_base=1300)``, ``gen_example4``
 at seven input rates, the fed overflow 2-cycle, two disjoint overflow
 2-cycles at capacity (a two-dimensional family, decided by linear
-programs) and the seeded small networks of ``small_networks``.  They
-must match exactly.
+programs) and the seeded small networks of ``helpers.small_networks``.
+They must match exactly.
 
 Regenerate both fixtures, only for a change meant to move a trace or a
 verdict, with::
@@ -30,7 +30,7 @@ import json
 from pathlib import Path
 
 import numpy as np
-from helpers import corpus
+from helpers import corpus, small_networks
 
 import trafficflow.solvers
 from trafficflow import (
@@ -40,6 +40,7 @@ from trafficflow import (
     enumerate_solutions,
     gen_example2,
     gen_example4,
+    gen_random,
     make_network,
     residual,
     solve_overflow,
@@ -79,28 +80,6 @@ def record():
         for n in range(1, 31)
     }
     return {"solves": solves, "verdicts": verdicts}
-
-
-def small_networks(count):
-    """Seeded networks of 2 to 4 nodes built to hit singular patterns:
-    integer weights at density 0.5 with a zero diagonal, each row of P
-    and Q scaled to sum to 1 or 0.5, alpha in {0, 1/2, 1} and mu in
-    {1/2, 1}."""
-    rng = np.random.default_rng(3)
-    nets = []
-    for _ in range(count):
-        n = int(rng.integers(2, 5))
-        mats = []
-        for _ in range(2):
-            w = rng.integers(1, 4, size=(n, n)) * (rng.random((n, n)) < 0.5)
-            np.fill_diagonal(w, 0)
-            sums = w.sum(axis=1, keepdims=True)
-            target = rng.choice([1.0, 0.5], size=(n, 1))
-            mats.append(np.where(sums > 0, w * target / np.where(sums > 0, sums, 1), 0.0))
-        alpha = rng.integers(0, 3, size=n) / 2
-        mu = rng.integers(1, 3, size=n) / 2
-        nets.append(make_network(alpha, mu, mats[0], mats[1]))
-    return nets
 
 
 def census_networks():
@@ -183,6 +162,20 @@ def test_census_matches_fixture():
     assert nets.keys() == stored.keys()
     for name, net in nets.items():
         assert census_record(enumerate_solutions(net)) == stored[name], name
+
+
+def test_census_does_not_depend_on_chunk_size(monkeypatch):
+    # The fixture's networks and an n = 12 network that spans many default
+    # chunks, solved one pattern per chunk: the same records, down to the
+    # reported continuum witness.
+    solvers = trafficflow.solvers
+    big = gen_random(12, seed=7)
+    assert 2**big.n > 4 * (solvers.CENSUS_CHUNK_ENTRIES // big.n**2)
+    nets = [*census_networks().values(), big]
+    default = [census_record(enumerate_solutions(net)) for net in nets]
+    assert any(r["kind"] == "continuum" for r in default)
+    monkeypatch.setattr(solvers, "CENSUS_CHUNK_ENTRIES", 1)
+    assert [census_record(enumerate_solutions(net)) for net in nets] == default
 
 
 def test_traces_match_fixture():

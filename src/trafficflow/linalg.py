@@ -1,16 +1,19 @@
-"""Dense linear-algebra kernels: left-sided linear solves with
-singularity classification, the Neumann test that decides whether a
-nonnegative matrix has spectral radius below 1 - RADIUS_MARGIN, and
-spectral-radius estimation for the radii that get reported.
+"""Linear-algebra kernels: left-sided linear solves with singularity
+classification, the Neumann test that decides whether a nonnegative
+matrix has spectral radius below 1 - RADIUS_MARGIN, and spectral-radius
+estimation for the radii that get reported.
 
 All vectors are row vectors, so solves have the form ``x @ A = b``.
 Each solve is one LU factorization of the row-equilibrated transposed
-system and one substitution, by LAPACK ``dgetrf`` and ``dgetrs`` from
-the OpenBLAS that numpy's wheel bundles
-(``numpy.libs/libscipy_openblas64_*.so``), called through ctypes so
-that SciPy is never imported.  Where that library is missing, the
-pure-Python elimination ``_eliminate`` is the kernel; the import decides
-which, once.  Both kernels take a stack of systems with a leading batch
+system and one substitution, by LAPACK from the OpenBLAS that numpy's
+wheel bundles (``numpy.libs/libscipy_openblas64_*.so``), called through
+ctypes so that SciPy is never imported.  The factorization is dense
+(``dgetrf``/``dgetrs``) unless the caller states a band that is narrow
+against a system of more than BAND_MIN_ROWS rows; then it is banded
+(``dgbtrf``/``dgbtrs``), with the same pivots in exact arithmetic and
+the same pivot test.  Where that library is missing, the pure-Python
+dense elimination ``_eliminate`` is the kernel; the import decides
+which, once.  The kernels take a stack of systems with a leading batch
 axis and solve it slice by slice: ``solve_left`` passes a stack of one,
 and the census passes a chunk of pattern systems.
 """
@@ -35,10 +38,15 @@ CONSISTENCY_TOL = 1e-9
 RADIUS_MARGIN = 1e-9
 #: Number of matrix squarings used for the spectral-radius estimate.
 _SQUARINGS = 64
+#: Systems of at most this many rows are factored dense even when a band
+#: is given: there banded LU is no faster, and its first call pages in
+#: more memory.
+BAND_MIN_ROWS = 32
 
 
 def _find_lapack():
-    """``(dgetrf, dgetrs)`` of numpy's bundled ILP64 OpenBLAS, or None."""
+    """``(dgetrf, dgetrs, dgbtrf, dgbtrs)`` of numpy's bundled ILP64
+    OpenBLAS, or None."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
         names = sorted(
@@ -48,14 +56,18 @@ def _find_lapack():
         )
         lib = ctypes.CDLL(os.path.join(libs, names[0]))
         getrf, getrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
+        gbtrf, gbtrs = lib.scipy_dgbtrf_64_, lib.scipy_dgbtrs_64_
     except (OSError, IndexError, AttributeError):
         return None
-    # Arrays go in as raw addresses; the last dgetrs argument is Fortran's
-    # hidden length of TRANS.
+    # Arrays go in as raw addresses; the last argument of each substitution
+    # is Fortran's hidden length of TRANS.
     getrf.argtypes = [ctypes.c_void_p] * 6
     getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
-    getrf.restype = getrs.restype = None
-    return getrf, getrs
+    gbtrf.argtypes = [ctypes.c_void_p] * 8
+    gbtrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
+    for f in (getrf, getrs, gbtrf, gbtrs):
+        f.restype = None
+    return getrf, getrs, gbtrf, gbtrs
 
 
 _LAPACK = _find_lapack()
@@ -120,7 +132,7 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray
     partial pivoting, and ``|U_kk| <= PIVOT_TOL`` is its relative pivot
     test.  Returns the solutions, with a row of NaN for each singular slice.
     """
-    getrf, getrs = _LAPACK
+    getrf, getrs = _LAPACK[:2]
     k, n = b.shape
     # C order, so LAPACK's column-major view of each slice is D^-1 a[i].T.
     lu = np.divide(a, scale[:, None, :], out=np.empty(a.shape))
@@ -142,13 +154,62 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray
     return x
 
 
+def _solve_banded(
+    a: np.ndarray, scale: np.ndarray, b: np.ndarray, kl: int, ku: int
+) -> np.ndarray:
+    """``_solve_lapack`` for stacked systems whose ``a[i].T`` has at most
+    ``kl`` subdiagonals and ``ku`` superdiagonals, by ``dgbtrf`` and
+    ``dgbtrs`` on LAPACK band storage.
+
+    Row partial pivoting within the band picks the dense pivots, since
+    every candidate outside it is 0, and ``|U_kk| <= PIVOT_TOL`` on the
+    band row that holds U's diagonal is the same relative pivot test.
+    Entries of ``a`` outside the band are ignored.
+    """
+    gbtrf, gbtrs = _LAPACK[2:]
+    k, n = b.shape
+    width = 2 * kl + ku + 1
+    # Row c of a slice of LAPACK's band storage is column c of the
+    # equilibrated transpose M after kl entries for fill-in: entry kl + t
+    # is M[j, c] = a[i, c, j] / scale[i, j] for j = c - ku + t, or 0 where
+    # j falls outside the matrix.  Gathering only the band, rather than
+    # copying the whole system, keeps every temporary small.
+    c = np.arange(n)[:, None]
+    cols = c + np.arange(-ku, kl + 1)
+    inside = (cols >= 0) & (cols < n)
+    cols = np.where(inside, cols, 0)
+    ab = np.zeros((k, n, width))
+    np.divide(a[:, c, cols], scale[:, cols], out=ab[:, :, kl:], where=inside)
+    x = b / scale
+    # n, kl, ku, width, nrhs = 1, info, then each slice's row interchanges.
+    ints = np.empty(6 + k * n, dtype=np.int64)
+    ints[:6] = n, kl, ku, width, 1, 0
+    p, ab_at, x_at = ints.ctypes.data, ab.ctypes.data, x.ctypes.data
+    row = 8 * n
+    for i in range(k):
+        gbtrf(p, p, p + 8, p + 16, ab_at + i * width * row, p + 24, p + 48 + i * row, p + 40)
+    regular = (np.abs(ab[:, :, kl + ku]) > PIVOT_TOL).all(axis=1)
+    for i in range(k):
+        if regular[i]:
+            at = i * row
+            ab_i, piv_i = ab_at + width * at, p + 48 + at
+            gbtrs(b"N", p, p + 8, p + 16, p + 32, ab_i, p + 24, piv_i, x_at + at, p, p + 40, 1)
+        else:
+            x[i] = np.nan
+    return x
+
+
 #: The kernel behind every solve, chosen once at import.
 _kernel = _eliminate if _LAPACK is None else _solve_lapack
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_stack(a: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
     """Kernel solutions of the stacked systems ``x[i] @ a[i] = b[i]``,
     for ``a`` of shape (k, n, n) and ``b`` of shape (k, n).
+
+    ``band`` is ``solve_left``'s: given as ``(kl, ku)`` on a system of
+    more than BAND_MIN_ROWS rows with ``2 kl + ku + 1 < n``, the LAPACK
+    kernel factors it banded.  The fallback kernel ignores it.
 
     A row that is not finite marks a singular system: the kernel fills a
     slice that fails the pivot test with NaN, and dividing by a column
@@ -165,8 +226,13 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = np.abs(a).max(axis=1)
     if not (np.isfinite(scale).all() and np.isfinite(b).all()):
         raise ValueError("matrix and rhs must be finite")
+    scale = np.where(scale > 0, scale, 1.0)
+    n = b.shape[1]
+    narrow = band is not None and n > BAND_MIN_ROWS and 2 * band[0] + band[1] + 1 < n
     with np.errstate(over="ignore", invalid="ignore"):
-        return _kernel(a, np.where(scale > 0, scale, 1.0), b)
+        if narrow and _kernel is _solve_lapack:
+            return _solve_banded(a, scale, b, *band)
+        return _kernel(a, scale, b)
 
 
 def _solve_singular(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
@@ -181,11 +247,15 @@ def _solve_singular(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
     return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
 
 
-def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
+def solve_left(a_matrix: np.ndarray, b, *, band=None) -> LinearSolveResult:
     """Solve ``x @ a_matrix = b`` for the row vector x.
 
     The kernel factors the transposed system with scaled partial
-    pivoting and substitutes once, as a stack of one system.  A unique
+    pivoting and substitutes once, as a stack of one system.  ``band``,
+    when given as ``(kl, ku)``, is the caller's statement of where
+    ``a_matrix`` is nonzero: off the diagonal only at ``[i, j]`` with
+    ``-ku <= j - i <= kl``.  It lets a large system be factored banded
+    (see ``_solve_stack``); entries outside it are then ignored.  A unique
     solution is reported only when every pivot clears the relative
     threshold and the solution is finite; otherwise ``_solve_singular``
     classifies the system as singular-consistent or
@@ -196,7 +266,7 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
-    x = _solve_stack(a[None], b[None])[0]
+    x = _solve_stack(a[None], b[None], band)[0]
     if np.isfinite(x).all():
         return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
     return _solve_singular(a, b)

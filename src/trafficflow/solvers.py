@@ -4,7 +4,11 @@ Three solvers share one convention: rates are row vectors, node i is
 overloaded when its rate reaches capacity (within a small margin), and
 every linear step is solved from scratch with no warm starting and no
 factors carried between steps (each step is one factorization and one
-substitution), so iteration counts are exactly reproducible.
+substitution), so iteration counts are exactly reproducible.  A step of
+the stable-set iteration factors only the rows of its stable and
+overloaded nodes, the others being identity rows, and states the
+network's band so that a large, narrow system is factored banded; the
+census solves every full pattern system dense.
 """
 
 from __future__ import annotations
@@ -69,6 +73,21 @@ class SolveTrace(_ValueEq):
     history: tuple[TraceStep, ...]
 
 
+def _outflow(net: Network, overflow: np.ndarray) -> np.ndarray:
+    """``mu @ Q_(overflow)`` for each of the stacked masks of shape (k, n):
+    what the overflow rows' linear terms take off the rhs."""
+    return np.matmul(np.where(overflow, net.mu, 0.0)[:, None, :], net.q)[:, 0]
+
+
+def _pattern_rhs(net: Network, stable: np.ndarray, outflow: np.ndarray) -> np.ndarray:
+    """The right-hand sides of ``_pattern_system``, of shape (k, n), for
+    the stacked stable masks: ``alpha + mu @ P_(rest) - outflow``.  Each
+    row is its own vector-matrix product, so its bits do not depend on
+    the rest of the stack."""
+    inflow = np.matmul(np.where(stable, 0.0, net.mu)[:, None, :], net.p)[:, 0]
+    return net.alpha + inflow - outflow
+
+
 def _pattern_system(net: Network, stable: np.ndarray, overflow: np.ndarray):
     """Linearize the overflow equation for a stack of stable/overflow
     patterns, given as boolean masks of shape (k, n).
@@ -78,22 +97,30 @@ def _pattern_system(net: Network, stable: np.ndarray, overflow: np.ndarray):
     rates = alpha + mu @ P_(rest) + rates @ P_(stable) + (rates - mu) @ Q_(overflow):
     rows of P in ``stable[i]`` route the unknown rate, the remaining rows
     run at capacity, and rows of Q in ``overflow[i]`` carry linear (not
-    clipped) overflow terms.  Each rhs row is its own vector-matrix
-    product, so its bits do not depend on the rest of the stack.
+    clipped) overflow terms.
     """
     coeff = np.where(stable[:, :, None], net.p, 0.0) + np.where(
         overflow[:, :, None], net.q, 0.0
     )
-    systems = np.eye(net.n) - coeff
-    rhs = (
-        net.alpha
-        + np.matmul(np.where(stable, 0.0, net.mu)[:, None, :], net.p)[:, 0]
-        - np.matmul(np.where(overflow, net.mu, 0.0)[:, None, :], net.q)[:, 0]
-    )
-    return systems, rhs
+    return np.eye(net.n) - coeff, _pattern_rhs(net, stable, _outflow(net, overflow))
 
 
-def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int):
+def _network_band(net: Network) -> tuple[int, int]:
+    """``(kl, ku)``: the largest ``j - i`` and ``i - j`` over the
+    off-diagonal nonzeros ``[i, j]`` of P and Q.
+
+    This bounds the band of every pattern system, reduced or not:
+    deleting rows and columns keeps the order of the others and cannot
+    widen the band.
+    """
+    rows, cols = np.nonzero((net.p != 0) | (net.q != 0))
+    offset = cols - rows
+    return int(np.max(offset, initial=0)), int(-np.min(offset, initial=0))
+
+
+def _stable_set_loop(
+    net: Network, overloaded: frozenset[int], budget: int, band: tuple[int, int]
+):
     """The stable-set growth iteration with a fixed overloaded set.
 
     Starting from an empty stable set, each pass solves the pattern
@@ -104,26 +131,50 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int):
     holds every node at or above capacity (within the margin), or None
     when ``budget`` solves do not settle the set.  With an empty
     overloaded set this is the Goodman-Massey iteration.
+
+    Only the rows R = stable | overloaded of the pattern system are not
+    identity rows, so each pass solves ``x_R (I - C_RR) = b_R`` for the
+    coefficient rows ``C_R`` (one ``solve_left`` call, with the network's
+    ``band``; 0 x 0 when R is empty) and gets the other rates from
+    ``x = b + x_R @ C_R``.
     """
     n = net.n
     # Masks of a stack of one pattern.
     overflow_mask = np.zeros((1, n), dtype=bool)
     overflow_mask[0, list(overloaded)] = True
+    outflow = _outflow(net, overflow_mask)
+    # The stable set never meets the overloaded one, so row i of every
+    # pass's coefficient matrix is Q's for an overloaded i and P's for a
+    # stable one: each pass takes its rows R of these, and its system is
+    # ``system[R][:, R]``.
+    routes = np.where(overflow_mask[0, :, None], net.q, net.p)
+    system = np.eye(n) - routes
     stable: frozenset[int] = frozenset()
     solves = []
     for _ in range(budget):
         stable_mask = np.zeros((1, n), dtype=bool)
         stable_mask[0, list(stable)] = True
-        systems, rhs = _pattern_system(net, stable_mask, overflow_mask)
-        result = solve_left(systems[0], rhs[0])
-        if result.status is not SolveStatus.UNIQUE:
-            raise SingularInnerSystemError(
-                f"inner system is {result.status.value} for stable rows "
-                f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
-            )
-        below, unstable = classify_nodes(result.x, net.mu)
+        b = _pattern_rhs(net, stable_mask, outflow)[0]
+        rows = (stable_mask | overflow_mask).nonzero()[1]
+        result = solve_left(system[rows][:, rows], b[rows], band=band)
+        if result.status is SolveStatus.UNIQUE:
+            x = b + result.x @ routes[rows]
+            x[rows] = result.x
+        else:
+            # Rare: the reduced system fails the pivot test.  Classify the
+            # full pattern system instead: the error reports its status,
+            # and should its own pivots clear the test, its solution stands.
+            systems, rhs = _pattern_system(net, stable_mask, overflow_mask)
+            result = solve_left(systems[0], rhs[0])
+            if result.status is not SolveStatus.UNIQUE:
+                raise SingularInnerSystemError(
+                    f"inner system is {result.status.value} for stable rows "
+                    f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
+                )
+            x = result.x
+        below, unstable = classify_nodes(x, net.mu)
         new_stable = below - overloaded
-        solves.append((result.x, new_stable, unstable))
+        solves.append((x, new_stable, unstable))
         if new_stable == stable:
             return solves
         stable = new_stable
@@ -133,7 +184,7 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int):
 def _goodman_massey_pass(net: Network):
     """The Goodman-Massey iteration: at most one linear solve per node
     plus a confirming solve (n + 2 allowed).  Returns the loop's triples."""
-    solves = _stable_set_loop(net, frozenset(), net.n + 2)
+    solves = _stable_set_loop(net, frozenset(), net.n + 2, _network_band(net))
     if solves is None:
         raise NonConvergenceError("stable-set iteration failed to settle")
     return solves
@@ -234,11 +285,12 @@ def solve_overflow(
     else:
         n = net.n
         cap = n * n + 1
+        band = _network_band(net)
         overloaded: frozenset[int] = frozenset()
         steps: list[TraceStep] = []
         for kappa in range(1, n + 3):
             if kappa > 1:
-                solves = _stable_set_loop(net, overloaded, cap - len(steps))
+                solves = _stable_set_loop(net, overloaded, cap - len(steps), band)
                 if solves is None:
                     raise NonConvergenceError(
                         f"exceeded iteration cap {cap} without reaching a fixed point"
@@ -247,7 +299,12 @@ def solve_overflow(
                 TraceStep(outer=kappa, inner=ell, rates=r, stable=st, unstable=overloaded)
                 for ell, (r, st, _) in enumerate(solves, 1)
             )
-            rates, _, new_overloaded = solves[-1]
+            rates, _, unstable = solves[-1]
+            # A node joins the overloaded set only at or above capacity, and
+            # stays while it is within the margin below it: joining within
+            # the margin can push it further below and cycle the outer loop.
+            at_capacity = frozenset(np.flatnonzero(rates >= net.mu).tolist())
+            new_overloaded = unstable & (at_capacity | overloaded)
             if new_overloaded == overloaded:
                 break
             overloaded = new_overloaded

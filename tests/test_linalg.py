@@ -1,8 +1,9 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import corpus, small_networks
+from helpers import corpus, count_calls, small_networks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -232,6 +233,73 @@ def test_census_verdicts_agree_under_fallback_kernel(monkeypatch):
             pairs.append((got.base, want.base))
         for x, y in pairs:
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def _banded_system(rng, n, kl, ku):
+    """A random ``x @ a = b`` whose ``a`` is nonzero only at ``[i, j]``
+    with ``-ku <= j - i <= kl``: the identity minus a band whose rows sum
+    to less than 1, as in a pattern system."""
+    offset = np.subtract.outer(np.arange(n), np.arange(n))
+    c = rng.random((n, n)) * ((offset <= ku) & (-offset <= kl))
+    c *= rng.random((n, 1)) / c.sum(axis=1, keepdims=True)
+    return np.eye(n) - c, rng.standard_normal(n)
+
+
+def _assert_agree(got, want):
+    """Both unique with x within 1e-12 relative, or both singular."""
+    assert (got.status is SolveStatus.UNIQUE) == (want.status is SolveStatus.UNIQUE)
+    if want.status is SolveStatus.UNIQUE:
+        assert np.max(np.abs(got.x - want.x)) <= 1e-12 * np.max(np.abs(want.x))
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy bundles no ILP64 OpenBLAS")
+def test_banded_and_dense_kernels_agree(monkeypatch):
+    # Systems above the cut-over with a narrow band, solved banded: the
+    # dense kernel's status and x within 1e-12 relative, on regular
+    # systems, systems singular to the pivot test (a zero column with a
+    # consistent or an inconsistent rhs, or a zero row) and copies with
+    # their columns and rhs scaled by up to 1e30.
+    banded = count_calls(monkeypatch, linalg, "_solve_banded")
+    rng = np.random.default_rng(29)
+    n = linalg.BAND_MIN_ROWS + 9
+    factors = 10.0 ** rng.integers(-30, 31, size=n)
+    bands = [(0, 0), (1, 0), (0, 1), (1, 1), (4, 2), (2, 7), (9, 3)]
+    statuses = set()
+    for kl, ku in bands:
+        for kind in ("regular", "regular", "consistent", "inconsistent", "zero row"):
+            a, b = _banded_system(rng, n, kl, ku)
+            j = int(rng.integers(n))
+            if kind == "zero row":
+                a[j] = 0.0
+            elif kind != "regular":
+                a[:, j] = 0.0
+                b[j] = 0.0 if kind == "consistent" else 1.0
+            want = solve_left(a, b)
+            got = solve_left(a, b, band=(kl, ku))
+            assert got.status is want.status
+            _assert_agree(got, want)
+            # Scaling can move a singular system's consistency verdict (its
+            # residual test is absolute) but not its pivot test.
+            _assert_agree(solve_left(a * factors, b * factors, band=(kl, ku)), want)
+            statuses.add(want.status)
+        # A stack of systems, as the kernels take them.
+        systems = [_banded_system(rng, n, kl, ku) for _ in range(3)]
+        a, b = (np.array(parts) for parts in zip(*systems))
+        for x, system, rhs in zip(_solve_stack(a, b, (kl, ku)), a, b):
+            stacked = SimpleNamespace(status=SolveStatus.UNIQUE, x=x)
+            _assert_agree(stacked, solve_left(system, rhs))
+    assert statuses == set(SolveStatus)
+    assert len(banded) == 11 * len(bands)
+    # A band too wide for its size, a system at the cut-over, and the
+    # fallback kernel all factor dense: the same bits as with no band.
+    cases = [(n, (n // 2, 1)), (linalg.BAND_MIN_ROWS, (1, 1))]
+    for size, band in cases:
+        a, b = _banded_system(rng, size, *band)
+        assert solve_left(a, b, band=band).x.tobytes() == solve_left(a, b).x.tobytes()
+    monkeypatch.setattr(linalg, "_kernel", linalg._eliminate)
+    a, b = _banded_system(rng, n, 1, 1)
+    assert solve_left(a, b, band=(1, 1)).x.tobytes() == solve_left(a, b).x.tobytes()
+    assert len(banded) == 11 * len(bands)
 
 
 def test_spectral_radius_fixed_points():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from trafficflow import (
     ConditionNotVerifiedError,
     Equation,
     IsolatedClassError,
-    NonConvergenceError,
     OracleKind,
     OracleSizeError,
+    SingularInnerSystemError,
+    SolveStatus,
     SpectralRadiusAtLeastOneError,
     TrafficFlowError,
     enumerate_solutions,
@@ -37,11 +39,14 @@ from trafficflow import (
     residual,
     solve_goodman_massey,
     solve_jackson,
+    solve_left,
     solve_overflow,
     tarski_fixed_point,
 )
+from trafficflow import linalg
 from trafficflow.linalg import RADIUS_MARGIN
-from trafficflow.solvers import _goodman_massey_pass
+from trafficflow.network import classify_nodes
+from trafficflow.solvers import _goodman_massey_pass, _network_band, _pattern_system
 
 
 def test_jackson_without_routing_returns_inputs():
@@ -283,15 +288,11 @@ def test_verified_condition_leaves_no_inner_system_singular(net):
         pass
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NonConvergenceError,
-    reason="open fault: the 1e-9 margin adds a node 7.75e-10 below capacity "
-    "to the overloaded set, and the outer loop cycles between {1} and {1, 2}",
-)
 def test_checked_overflow_settles_next_to_the_margin():
     # Found by a longer hard_networks run.  The condition holds, and the
     # census's unique solution has node 2 at 7.75e-10 below capacity.
+    # Were node 2 to join the overloaded set within the 1e-9 margin, the
+    # outer loop would cycle between {1} and {1, 2}.
     p = np.zeros((3, 3))
     p[0, 2] = 0.99224806
     q = np.zeros((3, 3))
@@ -302,6 +303,117 @@ def test_checked_overflow_settles_next_to_the_margin():
     verdict = enumerate_solutions(net)
     assert verdict.kind is OracleKind.UNIQUE
     np.testing.assert_allclose(solution.rates, verdict.solutions[0], rtol=1e-9, atol=0)
+
+
+def _dense_stable_set_loop(net, overloaded, budget, band):
+    """Reference for ``_stable_set_loop``: each pass solves the full
+    pattern system with the dense kernel, ignoring ``band``."""
+    overflow_mask = np.zeros((1, net.n), dtype=bool)
+    overflow_mask[0, list(overloaded)] = True
+    stable = frozenset()
+    solves = []
+    for _ in range(budget):
+        stable_mask = np.zeros((1, net.n), dtype=bool)
+        stable_mask[0, list(stable)] = True
+        systems, rhs = _pattern_system(net, stable_mask, overflow_mask)
+        result = solve_left(systems[0], rhs[0])
+        if result.status is not SolveStatus.UNIQUE:
+            raise SingularInnerSystemError(
+                f"inner system is {result.status.value} for stable rows "
+                f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
+            )
+        below, unstable = classify_nodes(result.x, net.mu)
+        new_stable = below - overloaded
+        solves.append((result.x, new_stable, unstable))
+        if new_stable == stable:
+            return solves
+        stable = new_stable
+    return None
+
+
+def _solve_record(net, **kwargs):
+    """``solve_overflow``'s (solution, trace), or the error it raised."""
+    try:
+        return solve_overflow(net, **kwargs)
+    except TrafficFlowError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_same_solve(got, want):
+    """The same error, or the same sets and counts with every rate vector
+    within 1e-12 relative."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    (solution, trace), (want_solution, want_trace) = got, want
+    assert (trace.outer_iterations, trace.inner_iterations_total) == (
+        want_trace.outer_iterations,
+        want_trace.inner_iterations_total,
+    )
+    assert [(s.outer, s.inner, s.stable, s.unstable) for s in trace.history] == [
+        (s.outer, s.inner, s.stable, s.unstable) for s in want_trace.history
+    ]
+    assert solution.stable == want_solution.stable
+    assert solution.unstable == want_solution.unstable
+    pairs = [(s.rates, w.rates) for s, w in zip(trace.history, want_trace.history)]
+    for x, y in pairs + [(solution.rates, want_solution.rates)]:
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def _cell_grids(sides):
+    return [
+        gen_example1(CellGridSpec(m=m, delta=d, epsilon=e))
+        for m in sides
+        for d, e in ((0.5, 0.5), (1.0, 0.2), (0.3, 0.9))
+    ]
+
+
+def test_reduced_stable_set_loop_matches_dense_reference(monkeypatch):
+    # Reduced (and, from 33 rows on, banded) inner solves against the full
+    # dense pattern systems: the same sets and counts, rates within 1e-12.
+    cases = [(net, {}) for net in corpus(40) + _cell_grids((2, 3, 5))]
+    cases += [(gen_example2(n), {"best_effort": True}) for n in range(1, 41)]
+    banded = count_calls(monkeypatch, linalg, "_solve_banded")
+    got = [_solve_record(net, **kwargs) for net, kwargs in cases]
+    assert banded or linalg._LAPACK is None
+    monkeypatch.setattr(trafficflow.solvers, "_stable_set_loop", _dense_stable_set_loop)
+    for (net, kwargs), result in zip(cases, got):
+        _assert_same_solve(result, _solve_record(net, **kwargs))
+
+
+@settings(max_examples=100)
+@given(hard_networks())
+def test_network_band_bounds_every_reduced_system(net):
+    # Every system the stable-set loop hands solve_left, reduced or (on
+    # the singular path) full, is nonzero off its diagonal only within
+    # the network's band, which the reduced ones state.
+    systems = []
+
+    def recording(a, b, *, band=None):
+        systems.append((a, band))
+        return solve_left(a, b, band=band)
+
+    with mock.patch.object(trafficflow.solvers, "solve_left", recording):
+        try:
+            solve_overflow(net, best_effort=True, delegate_zero_overflow=False)
+        except TrafficFlowError:
+            pass
+    kl, ku = _network_band(net)
+    for a, band in systems:
+        assert band in (None, (kl, ku))
+        i, j = np.nonzero(a - np.diag(np.diag(a)))
+        assert np.all(j - i <= kl) and np.all(i - j <= ku)
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy bundles no ILP64 OpenBLAS")
+def test_checked_overflow_agrees_under_fallback_kernel(monkeypatch):
+    # The fallback kernel ignores the band and factors every reduced
+    # system dense: the same sets and counts, rates within 1e-12.
+    nets = _cell_grids((2, 3, 5)) + [gen_example2(n) for n in (4, 12, 20, 34)]
+    fast = [_solve_record(net) for net in nets]
+    monkeypatch.setattr(linalg, "_kernel", linalg._eliminate)
+    for net, want in zip(nets, fast):
+        _assert_same_solve(_solve_record(net), want)
 
 
 def test_overflow_permutation_equivariant():

@@ -28,7 +28,8 @@ from .errors import (
     SingularInnerSystemError,
     SpectralRadiusAtLeastOneError,
 )
-from .linalg import RADIUS_MARGIN, SolveStatus, neumann_values, solve_left, spectral_radius
+from .linalg import BAND_MIN_ROWS, RADIUS_MARGIN, SolveStatus, neumann_values
+from .linalg import solve_left, spectral_radius
 from .linalg import _solve_singular, _solve_stack
 from .network import Equation, Network, TrafficSolution, _frozen, _ValueEq
 from .network import classify_nodes, residual
@@ -105,21 +106,24 @@ def _pattern_system(net: Network, stable: np.ndarray, overflow: np.ndarray):
     return np.eye(net.n) - coeff, _pattern_rhs(net, stable, _outflow(net, overflow))
 
 
-def _network_band(net: Network) -> tuple[int, int]:
+def _network_band(net: Network) -> tuple[int, int] | None:
     """``(kl, ku)``: the largest ``j - i`` and ``i - j`` over the
-    off-diagonal nonzeros ``[i, j]`` of P and Q.
+    off-diagonal nonzeros ``[i, j]`` of P and Q, or None for a network of
+    at most BAND_MIN_ROWS nodes, none of whose systems is factored banded.
 
     This bounds the band of every pattern system, reduced or not:
     deleting rows and columns keeps the order of the others and cannot
     widen the band.
     """
+    if net.n <= BAND_MIN_ROWS:
+        return None
     rows, cols = np.nonzero((net.p != 0) | (net.q != 0))
     offset = cols - rows
     return int(np.max(offset, initial=0)), int(-np.min(offset, initial=0))
 
 
 def _stable_set_loop(
-    net: Network, overloaded: frozenset[int], budget: int, band: tuple[int, int]
+    net: Network, overloaded: frozenset[int], budget: int, band: tuple[int, int] | None
 ):
     """The stable-set growth iteration with a fixed overloaded set.
 
@@ -136,7 +140,9 @@ def _stable_set_loop(
     identity rows, so each pass solves ``x_R (I - C_RR) = b_R`` for the
     coefficient rows ``C_R`` (one ``solve_left`` call, with the network's
     ``band``; 0 x 0 when R is empty) and gets the other rates from
-    ``x = b + x_R @ C_R``.
+    ``x = b + x_R @ C_R``.  The pattern system is block triangular, with
+    the reduced system and an identity block on its diagonal, so it is
+    singular, consistent or not, exactly when the reduced one is.
     """
     n = net.n
     # Masks of a stack of one pattern.
@@ -157,21 +163,13 @@ def _stable_set_loop(
         b = _pattern_rhs(net, stable_mask, outflow)[0]
         rows = (stable_mask | overflow_mask).nonzero()[1]
         result = solve_left(system[rows][:, rows], b[rows], band=band)
-        if result.status is SolveStatus.UNIQUE:
-            x = b + result.x @ routes[rows]
-            x[rows] = result.x
-        else:
-            # Rare: the reduced system fails the pivot test.  Classify the
-            # full pattern system instead: the error reports its status,
-            # and should its own pivots clear the test, its solution stands.
-            systems, rhs = _pattern_system(net, stable_mask, overflow_mask)
-            result = solve_left(systems[0], rhs[0])
-            if result.status is not SolveStatus.UNIQUE:
-                raise SingularInnerSystemError(
-                    f"inner system is {result.status.value} for stable rows "
-                    f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
-                )
-            x = result.x
+        if result.status is not SolveStatus.UNIQUE:
+            raise SingularInnerSystemError(
+                f"inner system is {result.status.value} for stable rows "
+                f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
+            )
+        x = b + result.x @ routes[rows]
+        x[rows] = result.x
         below, unstable = classify_nodes(x, net.mu)
         new_stable = below - overloaded
         solves.append((x, new_stable, unstable))
@@ -181,10 +179,11 @@ def _stable_set_loop(
     return None
 
 
-def _goodman_massey_pass(net: Network):
+def _goodman_massey_pass(net: Network, band: tuple[int, int] | None):
     """The Goodman-Massey iteration: at most one linear solve per node
-    plus a confirming solve (n + 2 allowed).  Returns the loop's triples."""
-    solves = _stable_set_loop(net, frozenset(), net.n + 2, _network_band(net))
+    plus a confirming solve (n + 2 allowed), given ``_network_band(net)``.
+    Returns the loop's triples."""
+    solves = _stable_set_loop(net, frozenset(), net.n + 2, band)
     if solves is None:
         raise NonConvergenceError("stable-set iteration failed to settle")
     return solves
@@ -241,7 +240,7 @@ def solve_goodman_massey(net: Network) -> tuple[TrafficSolution, SolveTrace]:
     isolated = isolated_classes(net)
     if isolated:
         raise IsolatedClassError(isolated)
-    solves = _goodman_massey_pass(net)
+    solves = _goodman_massey_pass(net, _network_band(net))
     solution = _solution(net, solves[-1][0], Equation.GOODMAN_MASSEY)
     return solution, _goodman_massey_trace(solves)
 
@@ -274,7 +273,8 @@ def solve_overflow(
     isolated = isolated_classes(net)
     if isolated:
         raise IsolatedClassError(isolated)
-    solves = _goodman_massey_pass(net)
+    band = _network_band(net)
+    solves = _goodman_massey_pass(net, band)
     if not best_effort:
         verdict = check_overflow_condition(net, solves[-1][2])
         if not verdict.holds():
@@ -285,7 +285,6 @@ def solve_overflow(
     else:
         n = net.n
         cap = n * n + 1
-        band = _network_band(net)
         overloaded: frozenset[int] = frozenset()
         steps: list[TraceStep] = []
         for kappa in range(1, n + 3):

@@ -266,11 +266,11 @@ def condition_report(net: Network) -> ConditionReport:
     Goodman-Massey iteration when the network is NI; otherwise the
     spectral verdict is "unknown".
     """
-    from .solvers import _goodman_massey_pass
+    from .solvers import _goodman_massey_pass, _network_band
 
     dec = characterize_classes(net)
     if dec.non_isolated:
-        gm_unstable = _goodman_massey_pass(net)[-1][2]
+        gm_unstable = _goodman_massey_pass(net, _network_band(net))[-1][2]
         verdict = check_overflow_condition(net, gm_unstable)
     else:
         gm_unstable = frozenset()

@@ -4,18 +4,14 @@ matrix has spectral radius below 1 - RADIUS_MARGIN, and spectral-radius
 estimation for the radii that get reported.
 
 All vectors are row vectors, so solves have the form ``x @ A = b``.
-Each solve is one LU factorization of the row-equilibrated transposed
-system and one substitution, by LAPACK from the OpenBLAS that numpy's
-wheel bundles (``numpy.libs/libscipy_openblas64_*.so``), called through
-ctypes so that SciPy is never imported.  The factorization is dense
-(``dgetrf``/``dgetrs``) unless the caller states a band that is narrow
-against a system of more than BAND_MIN_ROWS rows; then it is banded
-(``dgbtrf``/``dgbtrs``), with the same pivots in exact arithmetic and
-the same pivot test.  Where that library is missing, the pure-Python
-dense elimination ``_eliminate`` is the kernel; the import decides
-which, once.  The kernels take a stack of systems with a leading batch
-axis and solve it slice by slice: ``solve_left`` passes a stack of one,
-and the census passes a chunk of pattern systems.
+Each solve is one LAPACK call, ``dgesv`` (or ``dgbsv`` when
+``solve_reduced`` is given a narrow band), on the row-equilibrated
+transposed system, from the OpenBLAS that numpy's wheel bundles
+(``numpy.libs/libscipy_openblas64_*.so``), called through ctypes so that
+SciPy is never imported.  Where that library is missing, the pure-Python
+elimination ``_eliminate`` is the kernel; the import decides which, once.
+``solve_left`` and ``solve_reduced`` solve one system; the census solves
+a stack of pattern systems with ``_solve_stack``.
 """
 
 from __future__ import annotations
@@ -45,8 +41,7 @@ BAND_MIN_ROWS = 32
 
 
 def _find_lapack():
-    """``(dgetrf, dgetrs, dgbtrf, dgbtrs)`` of numpy's bundled ILP64
-    OpenBLAS, or None."""
+    """``(dgesv, dgbsv)`` of numpy's bundled ILP64 OpenBLAS, or None."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
         names = sorted(
@@ -55,19 +50,14 @@ def _find_lapack():
             if f.startswith("libscipy_openblas64_") and f.endswith(".so")
         )
         lib = ctypes.CDLL(os.path.join(libs, names[0]))
-        getrf, getrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
-        gbtrf, gbtrs = lib.scipy_dgbtrf_64_, lib.scipy_dgbtrs_64_
+        gesv, gbsv = lib.scipy_dgesv_64_, lib.scipy_dgbsv_64_
     except (OSError, IndexError, AttributeError):
         return None
-    # Arrays go in as raw addresses; the last argument of each substitution
-    # is Fortran's hidden length of TRANS.
-    getrf.argtypes = [ctypes.c_void_p] * 6
-    getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
-    gbtrf.argtypes = [ctypes.c_void_p] * 8
-    gbtrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
-    for f in (getrf, getrs, gbtrf, gbtrs):
-        f.restype = None
-    return getrf, getrs, gbtrf, gbtrs
+    # Every argument goes in as a raw address.
+    gesv.argtypes = [ctypes.c_void_p] * 8
+    gbsv.argtypes = [ctypes.c_void_p] * 10
+    gesv.restype = gbsv.restype = None
+    return gesv, gbsv
 
 
 _LAPACK = _find_lapack()
@@ -122,116 +112,115 @@ def _eliminate(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _regular(diagonal: np.ndarray):
+    """The pivot test on the diagonal of U, along the last axis, which
+    the LAPACK kernels leave in place: every ``|U_kk| > PIVOT_TOL``."""
+    return np.abs(diagonal).min(axis=-1) > PIVOT_TOL
+
+
 def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
     """LAPACK kernel for the stacked systems ``x[i] @ a[i] = b[i]``.
 
-    Factors each ``D^-1 a[i].T = P L U`` with ``dgetrf``, where D holds
-    the row scales of ``a[i].T``, and substitutes ``D^-1 b[i]`` with one
-    ``dgetrs``, slice by slice by address.  Partial pivoting on the
-    equilibrated system picks the pivots of ``_eliminate``'s scaled
-    partial pivoting, and ``|U_kk| <= PIVOT_TOL`` is its relative pivot
-    test.  Returns the solutions, with a row of NaN for each singular slice.
+    Solves each ``(D^-1 a[i].T) x[i] = D^-1 b[i]`` with one ``dgesv``,
+    where D holds the row scales of ``a[i].T``, slice by slice by address.
+    Partial pivoting on the equilibrated system picks the pivots of
+    ``_eliminate``'s scaled partial pivoting, and ``_regular`` is its
+    relative pivot test.  Returns the solutions, with a row of NaN for
+    each singular slice.  Unlike ``_solve_dense`` it keeps three arrays:
+    one buffer per census chunk raised the census's peak memory 0.1 MB.
     """
-    getrf, getrs = _LAPACK[:2]
     k, n = b.shape
     # C order, so LAPACK's column-major view of each slice is D^-1 a[i].T.
     lu = np.divide(a, scale[:, None, :], out=np.empty(a.shape))
     x = b / scale
-    # n, nrhs = 1, info, then each slice's row interchanges.
-    ints = np.empty(3 + k * n, dtype=np.int64)
+    # n, nrhs = 1, info, then the row interchanges.
+    ints = np.empty(3 + n, dtype=np.int64)
     ints[:3] = n, 1, 0
     p, lu_at, x_at = ints.ctypes.data, lu.ctypes.data, x.ctypes.data
-    row = 8 * n
-    for i in range(k):
-        getrf(p, p, lu_at + i * n * row, p, p + 24 + i * row, p + 16)
-    regular = (np.abs(lu.reshape(k, n * n)[:, :: n + 1]) > PIVOT_TOL).all(axis=1)
-    for i in range(k):
-        if regular[i]:
-            at = i * row
-            getrs(b"N", p, p + 8, lu_at + n * at, p, p + 24 + at, x_at + at, p, p + 16, 1)
-        else:
-            x[i] = np.nan
+    gesv, nrhs, info, piv = _LAPACK[0], p + 8, p + 16, p + 24
+    for at in range(0, 8 * k * n, 8 * n):  # 8 n i, the byte offset of x[i]
+        gesv(p, nrhs, lu_at + n * at, p, piv, x_at + at, p, info)
+    x[~_regular(lu.reshape(k, n * n)[:, :: n + 1])] = np.nan
     return x
+
+
+def _solve_dense(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_solve_lapack`` for one system ``x @ a = b``, with no stack axis."""
+    n = len(b)
+    # One buffer, so one address lookup: n, nrhs = 1, info, the row
+    # interchanges, D^-1 a.T in column-major order, then D^-1 b.
+    head = 3 + n
+    buf = np.empty(head + n * (n + 1))
+    buf[:3].view(np.int64)[:] = n, 1, 0
+    lu = buf[head : head + n * n]
+    np.divide(a, scale, out=lu.reshape(n, n))
+    x = buf[head + n * n :]
+    np.divide(b, scale, out=x)
+    p = buf.ctypes.data
+    _LAPACK[0](p, p + 8, p + 8 * head, p, p + 24, p + 8 * (head + n * n), p, p + 16)
+    # A copy, so that the factors are freed on return.
+    return x.copy() if _regular(lu[:: n + 1]) else np.full(n, np.nan)
 
 
 def _solve_banded(
     a: np.ndarray, scale: np.ndarray, b: np.ndarray, kl: int, ku: int
 ) -> np.ndarray:
-    """``_solve_lapack`` for stacked systems whose ``a[i].T`` has at most
-    ``kl`` subdiagonals and ``ku`` superdiagonals, by ``dgbtrf`` and
-    ``dgbtrs`` on LAPACK band storage.
-
-    Row partial pivoting within the band picks the dense pivots, since
-    every candidate outside it is 0, and ``|U_kk| <= PIVOT_TOL`` on the
-    band row that holds U's diagonal is the same relative pivot test.
-    Entries of ``a`` outside the band are ignored.
+    """``_solve_dense`` for a system whose ``a.T`` has at most ``kl``
+    subdiagonals and ``ku`` superdiagonals, by one ``dgbsv``.  Row partial
+    pivoting within the band picks the dense pivots, since every
+    candidate outside it is 0, and ``_regular`` on the band row that holds
+    U's diagonal is the same pivot test.  Entries outside the band are
+    ignored.
     """
-    gbtrf, gbtrs = _LAPACK[2:]
-    k, n = b.shape
+    n = len(b)
     width = 2 * kl + ku + 1
-    # Row c of a slice of LAPACK's band storage is column c of the
-    # equilibrated transpose M after kl entries for fill-in: entry kl + t
-    # is M[j, c] = a[i, c, j] / scale[i, j] for j = c - ku + t, or 0 where
-    # j falls outside the matrix.  Gathering only the band, rather than
-    # copying the whole system, keeps every temporary small.
+    # Row c of LAPACK's band storage is column c of the equilibrated
+    # transpose M after kl entries for fill-in: entry kl + t is
+    # M[j, c] = a[c, j] / scale[j] for j = c - ku + t, or 0 outside M.
     c = np.arange(n)[:, None]
     cols = c + np.arange(-ku, kl + 1)
     inside = (cols >= 0) & (cols < n)
     cols = np.where(inside, cols, 0)
-    ab = np.zeros((k, n, width))
-    np.divide(a[:, c, cols], scale[:, cols], out=ab[:, :, kl:], where=inside)
-    x = b / scale
-    # n, kl, ku, width, nrhs = 1, info, then each slice's row interchanges.
-    ints = np.empty(6 + k * n, dtype=np.int64)
-    ints[:6] = n, kl, ku, width, 1, 0
-    p, ab_at, x_at = ints.ctypes.data, ab.ctypes.data, x.ctypes.data
-    row = 8 * n
-    for i in range(k):
-        gbtrf(p, p, p + 8, p + 16, ab_at + i * width * row, p + 24, p + 48 + i * row, p + 40)
-    regular = (np.abs(ab[:, :, kl + ku]) > PIVOT_TOL).all(axis=1)
-    for i in range(k):
-        if regular[i]:
-            at = i * row
-            ab_i, piv_i = ab_at + width * at, p + 48 + at
-            gbtrs(b"N", p, p + 8, p + 16, p + 32, ab_i, p + 24, piv_i, x_at + at, p, p + 40, 1)
-        else:
-            x[i] = np.nan
-    return x
+    # n, kl, ku, width, nrhs = 1, info, the row interchanges, the band, D^-1 b.
+    head = 6 + n
+    buf = np.zeros(head + n * (width + 1))
+    ab = buf[head : head + n * width].reshape(n, width)
+    x = buf[head + n * width :]
+    np.divide(a[c, cols], scale[cols], out=ab[:, kl:], where=inside)
+    np.divide(b, scale, out=x)
+    buf[:6].view(np.int64)[:] = n, kl, ku, width, 1, 0
+    p = buf.ctypes.data
+    ab_at, x_at = p + 8 * head, p + 8 * (head + n * width)
+    _LAPACK[1](p, p + 8, p + 16, p + 32, ab_at, p + 24, p + 48, x_at, p, p + 40)
+    return x.copy() if _regular(ab[:, kl + ku]) else np.full(n, np.nan)
 
 
 #: The kernel behind every solve, chosen once at import.
 _kernel = _eliminate if _LAPACK is None else _solve_lapack
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
+def _row_scales(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The row scales of ``a.T`` (of each ``a[i].T`` in a stack), 1 for a
+    zero row, which changes no pivot; non-finite input raises ValueError."""
+    scale = np.abs(a).max(axis=-2)
+    if not (np.isfinite(scale).all() and np.isfinite(b).all()):
+        raise ValueError("matrix and rhs must be finite")
+    return np.where(scale > 0, scale, 1.0)
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kernel solutions of the stacked systems ``x[i] @ a[i] = b[i]``,
     for ``a`` of shape (k, n, n) and ``b`` of shape (k, n).
 
-    ``band`` is ``solve_left``'s: given as ``(kl, ku)`` on a system of
-    more than BAND_MIN_ROWS rows with ``2 kl + ku + 1 < n``, the LAPACK
-    kernel factors it banded.  The fallback kernel ignores it.
-
     A row that is not finite marks a singular system: the kernel fills a
     slice that fails the pivot test with NaN, and dividing by a column
-    scale near the underflow limit (the LAPACK kernel's equilibration, or
-    the fallback's substitution) can overflow a solution.  That is a
-    verdict, not an accident, so the floating-point warning is silenced.
-    Non-finite input raises ValueError.
+    scale near the underflow limit can overflow a solution.  That is a
+    verdict, so the floating-point warning is silenced.
     """
     if b.shape[1] == 0:  # LAPACK rejects a leading dimension of 0
         return b.copy()
-    # Row scales of each a[i].T; a NaN or inf entry makes its scale
-    # non-finite, and a zero row stays zero, so its scale of 1 changes no
-    # pivot.
-    scale = np.abs(a).max(axis=1)
-    if not (np.isfinite(scale).all() and np.isfinite(b).all()):
-        raise ValueError("matrix and rhs must be finite")
-    scale = np.where(scale > 0, scale, 1.0)
-    n = b.shape[1]
-    narrow = band is not None and n > BAND_MIN_ROWS and 2 * band[0] + band[1] + 1 < n
+    scale = _row_scales(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        if narrow and _kernel is _solve_lapack:
-            return _solve_banded(a, scale, b, *band)
         return _kernel(a, scale, b)
 
 
@@ -247,29 +236,57 @@ def _solve_singular(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
     return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
 
 
-def solve_left(a_matrix: np.ndarray, b, *, band=None) -> LinearSolveResult:
+def _solve(a: np.ndarray, b: np.ndarray, band=None) -> LinearSolveResult:
+    """One system ``x @ a = b``: dense, with the bits of a stack of one
+    through ``_solve_stack`` but no stack axis, or banded when ``band``
+    allows it.  ``_solve_singular`` classifies a non-finite solution."""
+    n = len(b)
+    if n == 0 or _kernel is not _solve_lapack:
+        x = _solve_stack(a[None], b[None])[0]
+    else:
+        scale = _row_scales(a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if band is not None and n > BAND_MIN_ROWS and 2 * band[0] + band[1] + 1 < n:
+                x = _solve_banded(a, scale, b, *band)
+            else:
+                x = _solve_dense(a, scale, b)
+    if np.isfinite(x).all():
+        return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
+    return _solve_singular(a, b)
+
+
+def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     """Solve ``x @ a_matrix = b`` for the row vector x.
 
-    The kernel factors the transposed system with scaled partial
-    pivoting and substitutes once, as a stack of one system.  ``band``,
-    when given as ``(kl, ku)``, is the caller's statement of where
-    ``a_matrix`` is nonzero: off the diagonal only at ``[i, j]`` with
-    ``-ku <= j - i <= kl``.  It lets a large system be factored banded
-    (see ``_solve_stack``); entries outside it are then ignored.  A unique
-    solution is reported only when every pivot clears the relative
-    threshold and the solution is finite; otherwise ``_solve_singular``
-    classifies the system as singular-consistent or
-    singular-inconsistent.  Non-finite input raises ValueError.
+    One dense kernel call factors the transposed system with scaled
+    partial pivoting and substitutes.  The status is unique only when
+    every pivot clears the relative threshold and the solution is finite;
+    otherwise the system is singular-consistent (with a least-squares x)
+    or singular-inconsistent.  Non-finite input raises ValueError.
     """
     a = _check_square(a_matrix)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
-    x = _solve_stack(a[None], b[None], band)[0]
-    if np.isfinite(x).all():
-        return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
-    return _solve_singular(a, b)
+    return _solve(a, b)
+
+
+def solve_reduced(
+    system: np.ndarray, rows: np.ndarray, b: np.ndarray, band=None
+) -> LinearSolveResult:
+    """``solve_left`` of ``x_R @ system[R][:, R] = b[R]`` for the
+    ascending indices R = ``rows`` of ``system`` (n x n) and ``b`` (n);
+    no row gives the empty solution.
+
+    ``band``, given as ``(kl, ku)``, is the caller's statement that
+    ``system`` is nonzero off its diagonal only at ``[i, j]`` with
+    ``-ku <= j - i <= kl``; so is the reduced system, whose rows and
+    columns keep their order.  One of more than BAND_MIN_ROWS rows with
+    ``2 kl + ku + 1`` below its order is then factored banded, ignoring
+    entries outside the band.
+    """
+    return _solve(system.take(rows, 0).take(rows, 1), b.take(rows), band)
 
 
 def neumann_values(m: np.ndarray) -> np.ndarray | None:

@@ -2,13 +2,12 @@
 
 Three solvers share one convention: rates are row vectors, node i is
 overloaded when its rate reaches capacity (within a small margin), and
-every linear step is solved from scratch with no warm starting and no
-factors carried between steps (each step is one factorization and one
-substitution), so iteration counts are exactly reproducible.  A step of
-the stable-set iteration factors only the rows of its stable and
-overloaded nodes, the others being identity rows, and states the
-network's band so that a large, narrow system is factored banded; the
-census solves every full pattern system dense.
+every linear step is one LAPACK call from scratch, with no warm starting
+and no factors carried between steps, so iteration counts are exactly
+reproducible.  A step of the stable-set iteration hands ``solve_reduced``
+only the rows of its stable and overloaded nodes, the others being
+identity rows, and the network's band; the census solves every full
+pattern system dense.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from .errors import (
     SpectralRadiusAtLeastOneError,
 )
 from .linalg import BAND_MIN_ROWS, RADIUS_MARGIN, SolveStatus, neumann_values
-from .linalg import solve_left, spectral_radius
+from .linalg import solve_left, solve_reduced, spectral_radius
 from .linalg import _solve_singular, _solve_stack
-from .network import Equation, Network, TrafficSolution, _frozen, _ValueEq
-from .network import classify_nodes, residual
+from .network import STABILITY_MARGIN, Equation, Network, TrafficSolution, _frozen
+from .network import _ValueEq, classify_nodes, residual
 from .structure import check_overflow_condition, isolated_classes
 
 #: Successful solves must satisfy this max-norm residual.
@@ -74,21 +73,6 @@ class SolveTrace(_ValueEq):
     history: tuple[TraceStep, ...]
 
 
-def _outflow(net: Network, overflow: np.ndarray) -> np.ndarray:
-    """``mu @ Q_(overflow)`` for each of the stacked masks of shape (k, n):
-    what the overflow rows' linear terms take off the rhs."""
-    return np.matmul(np.where(overflow, net.mu, 0.0)[:, None, :], net.q)[:, 0]
-
-
-def _pattern_rhs(net: Network, stable: np.ndarray, outflow: np.ndarray) -> np.ndarray:
-    """The right-hand sides of ``_pattern_system``, of shape (k, n), for
-    the stacked stable masks: ``alpha + mu @ P_(rest) - outflow``.  Each
-    row is its own vector-matrix product, so its bits do not depend on
-    the rest of the stack."""
-    inflow = np.matmul(np.where(stable, 0.0, net.mu)[:, None, :], net.p)[:, 0]
-    return net.alpha + inflow - outflow
-
-
 def _pattern_system(net: Network, stable: np.ndarray, overflow: np.ndarray):
     """Linearize the overflow equation for a stack of stable/overflow
     patterns, given as boolean masks of shape (k, n).
@@ -98,22 +82,22 @@ def _pattern_system(net: Network, stable: np.ndarray, overflow: np.ndarray):
     rates = alpha + mu @ P_(rest) + rates @ P_(stable) + (rates - mu) @ Q_(overflow):
     rows of P in ``stable[i]`` route the unknown rate, the remaining rows
     run at capacity, and rows of Q in ``overflow[i]`` carry linear (not
-    clipped) overflow terms.
+    clipped) overflow terms.  Each rhs row is its own vector-matrix
+    product, so its bits do not depend on the rest of the stack.
     """
     coeff = np.where(stable[:, :, None], net.p, 0.0) + np.where(
         overflow[:, :, None], net.q, 0.0
     )
-    return np.eye(net.n) - coeff, _pattern_rhs(net, stable, _outflow(net, overflow))
+    inflow = np.matmul(np.where(stable, 0.0, net.mu)[:, None, :], net.p)[:, 0]
+    outflow = np.matmul(np.where(overflow, net.mu, 0.0)[:, None, :], net.q)[:, 0]
+    return np.eye(net.n) - coeff, net.alpha + inflow - outflow
 
 
 def _network_band(net: Network) -> tuple[int, int] | None:
     """``(kl, ku)``: the largest ``j - i`` and ``i - j`` over the
     off-diagonal nonzeros ``[i, j]`` of P and Q, or None for a network of
     at most BAND_MIN_ROWS nodes, none of whose systems is factored banded.
-
-    This bounds the band of every pattern system, reduced or not:
-    deleting rows and columns keeps the order of the others and cannot
-    widen the band.
+    It bounds the band of every pattern system, reduced or not.
     """
     if net.n <= BAND_MIN_ROWS:
         return None
@@ -132,47 +116,45 @@ def _stable_set_loop(
     ``overloaded``, then re-derives the stable set among the other nodes
     from the result, until the set stops changing.  Returns one
     (rates, stable, unstable) triple per linear solve, where ``unstable``
-    holds every node at or above capacity (within the margin), or None
-    when ``budget`` solves do not settle the set.  With an empty
-    overloaded set this is the Goodman-Massey iteration.
+    holds every node at or above capacity (within the margin, as in
+    ``classify_nodes``), or None when ``budget`` solves do not settle the
+    set.  With an empty overloaded set this is the Goodman-Massey
+    iteration.
 
     Only the rows R = stable | overloaded of the pattern system are not
-    identity rows, so each pass solves ``x_R (I - C_RR) = b_R`` for the
-    coefficient rows ``C_R`` (one ``solve_left`` call, with the network's
-    ``band``; 0 x 0 when R is empty) and gets the other rates from
-    ``x = b + x_R @ C_R``.  The pattern system is block triangular, with
-    the reduced system and an identity block on its diagonal, so it is
-    singular, consistent or not, exactly when the reduced one is.
+    identity rows, so each pass solves ``x_R (I - C_RR) = b_R`` with one
+    ``solve_reduced`` call (no rows when R is empty) and gets the other
+    rates from ``x = b + x_R @ C_R``.  The pattern system is block
+    triangular, so it is singular exactly when the reduced one is.
     """
-    n = net.n
-    # Masks of a stack of one pattern.
-    overflow_mask = np.zeros((1, n), dtype=bool)
-    overflow_mask[0, list(overloaded)] = True
-    outflow = _outflow(net, overflow_mask)
+    overflow = np.zeros(net.n, dtype=bool)
+    overflow[list(overloaded)] = True
+    outflow = np.where(overflow, net.mu, 0.0) @ net.q
     # The stable set never meets the overloaded one, so row i of every
     # pass's coefficient matrix is Q's for an overloaded i and P's for a
-    # stable one: each pass takes its rows R of these, and its system is
-    # ``system[R][:, R]``.
-    routes = np.where(overflow_mask[0, :, None], net.q, net.p)
-    system = np.eye(n) - routes
+    # stable one: each pass takes its rows R of these.
+    routes = np.where(overflow[:, None], net.q, net.p)
+    system = np.eye(net.n) - routes
+    threshold = net.mu - STABILITY_MARGIN
+    stable_mask = np.zeros(net.n, dtype=bool)
     stable: frozenset[int] = frozenset()
     solves = []
     for _ in range(budget):
-        stable_mask = np.zeros((1, n), dtype=bool)
-        stable_mask[0, list(stable)] = True
-        b = _pattern_rhs(net, stable_mask, outflow)[0]
-        rows = (stable_mask | overflow_mask).nonzero()[1]
-        result = solve_left(system[rows][:, rows], b[rows], band=band)
+        # _pattern_system's rhs for this one pattern, with the same bits.
+        b = net.alpha + np.where(stable_mask, 0.0, net.mu) @ net.p - outflow
+        rows = (stable_mask | overflow).nonzero()[0]
+        result = solve_reduced(system, rows, b, band)
         if result.status is not SolveStatus.UNIQUE:
             raise SingularInnerSystemError(
                 f"inner system is {result.status.value} for stable rows "
                 f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
             )
-        x = b + result.x @ routes[rows]
+        x = b + result.x @ routes.take(rows, 0)
         x[rows] = result.x
-        below, unstable = classify_nodes(x, net.mu)
-        new_stable = below - overloaded
-        solves.append((x, new_stable, unstable))
+        unstable = x >= threshold
+        stable_mask = ~(unstable | overflow)
+        new_stable = frozenset(stable_mask.nonzero()[0].tolist())
+        solves.append((x, new_stable, frozenset(unstable.nonzero()[0].tolist())))
         if new_stable == stable:
             return solves
         stable = new_stable

@@ -196,7 +196,10 @@ def test_criterion_5_heatmap_small_grid():
 
 @pytest.mark.skipif(
     not os.environ.get("TRAFFICFLOW_FULL_SWEEP"),
-    reason="full-resolution sweep takes tens of minutes; set TRAFFICFLOW_FULL_SWEEP=1",
+    reason=(
+        "full-resolution sweep takes about a minute on 2 CPUs; "
+        "set TRAFFICFLOW_FULL_SWEEP=1"
+    ),
 )
 def test_criterion_5_heatmap_full_resolution(tmp_path):
     from trafficflow.cli import main

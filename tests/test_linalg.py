@@ -19,7 +19,7 @@ from trafficflow import (
     spectral_radius,
 )
 from trafficflow import linalg
-from trafficflow.linalg import RADIUS_MARGIN, _solve_stack, neumann_values
+from trafficflow.linalg import RADIUS_MARGIN, _solve_stack, neumann_values, solve_reduced
 from trafficflow.solvers import _pattern_system
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
@@ -122,8 +122,32 @@ def test_solve_left_equilibration_raises_no_warning():
     assert result.status is not SolveStatus.UNIQUE
 
 
+def test_solve_reduced_equilibration_raises_no_warning():
+    # A column scale near the underflow limit in the gathered system
+    # overflows the equilibrated rhs; the solve classifies that silently,
+    # as solve_left does.
+    system = np.array([[1e-320, 0.0, 5.0], [0.0, 1.0, 0.0], [7.0, 0.0, 1.0]])
+    rows = np.array([0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_reduced(system, rows, np.ones(3))
+    want = solve_left(np.array([[1e-320, 0.0], [0.0, 1.0]]), np.ones(2))
+    assert result.status is want.status is not SolveStatus.UNIQUE
+
+
+def test_solve_reduced_rejects_non_finite_input():
+    for bad in (np.nan, np.inf):
+        system = np.eye(3)
+        system[0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_reduced(system, np.array([0, 2]), np.ones(3))
+        # Entries outside the gathered rows play no part.
+        assert solve_reduced(system, np.array([1, 2]), np.ones(3)).status is SolveStatus.UNIQUE
+
+
 class TestEliminateFallback:
-    """The solve_left tests above, on the pure-Python fallback kernel."""
+    """The solve_left and solve_reduced tests above, on the pure-Python
+    fallback kernel."""
 
     @pytest.fixture(autouse=True)
     def _fallback(self, monkeypatch):
@@ -148,6 +172,12 @@ class TestEliminateFallback:
     )
     test_solve_left_equilibration_raises_no_warning = staticmethod(
         test_solve_left_equilibration_raises_no_warning
+    )
+    test_solve_reduced_equilibration_raises_no_warning = staticmethod(
+        test_solve_reduced_equilibration_raises_no_warning
+    )
+    test_solve_reduced_rejects_non_finite_input = staticmethod(
+        test_solve_reduced_rejects_non_finite_input
     )
 
 
@@ -262,6 +292,7 @@ def test_banded_and_dense_kernels_agree(monkeypatch):
     banded = count_calls(monkeypatch, linalg, "_solve_banded")
     rng = np.random.default_rng(29)
     n = linalg.BAND_MIN_ROWS + 9
+    every = np.arange(n)
     factors = 10.0 ** rng.integers(-30, 31, size=n)
     bands = [(0, 0), (1, 0), (0, 1), (1, 1), (4, 2), (2, 7), (9, 3)]
     statuses = set()
@@ -275,31 +306,79 @@ def test_banded_and_dense_kernels_agree(monkeypatch):
                 a[:, j] = 0.0
                 b[j] = 0.0 if kind == "consistent" else 1.0
             want = solve_left(a, b)
-            got = solve_left(a, b, band=(kl, ku))
+            got = solve_reduced(a, every, b, (kl, ku))
             assert got.status is want.status
             _assert_agree(got, want)
             # Scaling can move a singular system's consistency verdict (its
             # residual test is absolute) but not its pivot test.
-            _assert_agree(solve_left(a * factors, b * factors, band=(kl, ku)), want)
+            _assert_agree(solve_reduced(a * factors, every, b * factors, (kl, ku)), want)
             statuses.add(want.status)
-        # A stack of systems, as the kernels take them.
-        systems = [_banded_system(rng, n, kl, ku) for _ in range(3)]
-        a, b = (np.array(parts) for parts in zip(*systems))
-        for x, system, rhs in zip(_solve_stack(a, b, (kl, ku)), a, b):
-            stacked = SimpleNamespace(status=SolveStatus.UNIQUE, x=x)
-            _assert_agree(stacked, solve_left(system, rhs))
+        # Reduced systems, as the stable-set loop gathers them: still
+        # above the cut-over, and within the band of the whole.
+        for _ in range(3):
+            a, b = _banded_system(rng, n, kl, ku)
+            rows = np.sort(rng.choice(n, size=n - 5, replace=False))
+            want = solve_left(a[np.ix_(rows, rows)], b[rows])
+            _assert_agree(solve_reduced(a, rows, b, (kl, ku)), want)
     assert statuses == set(SolveStatus)
-    assert len(banded) == 11 * len(bands)
+    assert len(banded) == 13 * len(bands)
     # A band too wide for its size, a system at the cut-over, and the
     # fallback kernel all factor dense: the same bits as with no band.
     cases = [(n, (n // 2, 1)), (linalg.BAND_MIN_ROWS, (1, 1))]
     for size, band in cases:
         a, b = _banded_system(rng, size, *band)
-        assert solve_left(a, b, band=band).x.tobytes() == solve_left(a, b).x.tobytes()
+        got = solve_reduced(a, np.arange(size), b, band)
+        assert got.x.tobytes() == solve_left(a, b).x.tobytes()
     monkeypatch.setattr(linalg, "_kernel", linalg._eliminate)
     a, b = _banded_system(rng, n, 1, 1)
-    assert solve_left(a, b, band=(1, 1)).x.tobytes() == solve_left(a, b).x.tobytes()
-    assert len(banded) == 11 * len(bands)
+    assert solve_reduced(a, every, b, (1, 1)).x.tobytes() == solve_left(a, b).x.tobytes()
+    assert len(banded) == 13 * len(bands)
+
+
+def _assert_same_bits(results, stacked):
+    """The same status and the same bytes of x from every single-system
+    entry, and the stacked kernel's x for a unique one."""
+    first = results[0]
+    for result in results:
+        assert result.status is first.status
+        assert (result.x is None) == (first.x is None)
+        if first.x is not None:
+            assert result.x.tobytes() == first.x.tobytes()
+    assert (first.status is SolveStatus.UNIQUE) == np.isfinite(stacked).all()
+    if first.status is SolveStatus.UNIQUE:
+        assert stacked.tobytes() == first.x.tobytes()
+
+
+def test_single_and_stacked_solves_agree_bit_for_bit():
+    # solve_reduced, solve_left and a stack of one through _solve_stack,
+    # with no band: on banded systems of both sides of the cut-over
+    # (regular, singular, and with columns scaled by up to 1e30), whole,
+    # reduced and with no rows, and on every census pattern of small
+    # networks.  Banded factors add and multiply in another order, so
+    # test_banded_and_dense_kernels_agree holds them to 1e-12 instead.
+    rng = np.random.default_rng(41)
+    statuses = set()
+    for n in (5, linalg.BAND_MIN_ROWS + 9):
+        factors = 10.0 ** rng.integers(-30, 31, size=n)
+        for kind in ("regular", "consistent", "inconsistent", "scaled"):
+            a, b = _banded_system(rng, n, 2, 1)
+            if kind in ("consistent", "inconsistent"):
+                a[:, 1] = 0.0
+                b[1] = 0.0 if kind == "consistent" else 1.0
+            elif kind == "scaled":
+                a, b = a * factors, b * factors
+            subset = np.sort(rng.choice(n, size=n - 2, replace=False))
+            for rows in (np.arange(n), subset, np.arange(0)):
+                sub, rhs = a[np.ix_(rows, rows)], b[rows]
+                results = [solve_reduced(a, rows, b), solve_left(sub, rhs)]
+                _assert_same_bits(results, _solve_stack(sub[None], rhs[None])[0])
+                statuses.add(results[0].status)
+    assert statuses == set(SolveStatus)
+    for net in corpus(8, sizes=range(3, 7)) + small_networks(40):
+        _, systems, rhs = _census_systems(net)
+        every = np.arange(net.n)
+        for system, b, x in zip(systems, rhs, _solve_stack(systems, rhs)):
+            _assert_same_bits([solve_reduced(system, every, b), solve_left(system, b)], x)
 
 
 def test_spectral_radius_fixed_points():

@@ -45,7 +45,7 @@ from trafficflow import (
     tarski_fixed_point,
 )
 from trafficflow import linalg
-from trafficflow.linalg import RADIUS_MARGIN
+from trafficflow.linalg import RADIUS_MARGIN, solve_reduced
 from trafficflow.network import classify_nodes
 from trafficflow.solvers import _goodman_massey_pass, _network_band, _pattern_system
 
@@ -223,15 +223,18 @@ def test_checked_overflow_repeats_no_solve(monkeypatch):
         gen_example1(CellGridSpec(m=2, delta=0.5, epsilon=0.5)),
         gen_example1(CellGridSpec(m=3, delta=1.0, epsilon=0.2)),
     ]
-    solves = count_calls(monkeypatch, trafficflow.solvers, "solve_left")
+    # Both solver entries count, so a stray solve through either fails.
+    solves = count_calls(monkeypatch, trafficflow.solvers, "solve_reduced")
+    dense_solves = count_calls(monkeypatch, trafficflow.solvers, "solve_left")
     characterizations = count_calls(
         monkeypatch, trafficflow.structure, "characterize_classes"
     )
     for net in nets:
         solves.clear()
+        dense_solves.clear()
         characterizations.clear()
         _, trace = solve_overflow(net)
-        assert len(solves) == trace.inner_iterations_total
+        assert len(solves) + len(dense_solves) == trace.inner_iterations_total
         assert len(characterizations) == 1
 
 
@@ -385,17 +388,18 @@ def test_reduced_stable_set_loop_matches_dense_reference(monkeypatch):
 @settings(max_examples=100)
 @given(hard_networks())
 def test_network_band_bounds_every_reduced_system(net):
-    # Every reduced system the stable-set loop hands solve_left is nonzero
-    # off its diagonal only within the band it states, the network's.
-    # These networks are small, so the band is stated from 1 node on.
+    # Every reduced system the stable-set loop hands solve_reduced is
+    # nonzero off its diagonal only within the band it states, the
+    # network's.  These networks are small, so the band is stated from 1
+    # node on.
     systems = []
 
-    def recording(a, b, *, band=None):
-        systems.append((a, band))
-        return solve_left(a, b, band=band)
+    def recording(system, rows, b, band=None):
+        systems.append((system[np.ix_(rows, rows)], band))
+        return solve_reduced(system, rows, b, band)
 
     with mock.patch.object(trafficflow.solvers, "BAND_MIN_ROWS", 0):
-        with mock.patch.object(trafficflow.solvers, "solve_left", recording):
+        with mock.patch.object(trafficflow.solvers, "solve_reduced", recording):
             try:
                 solve_overflow(net, best_effort=True, delegate_zero_overflow=False)
             except TrafficFlowError:
@@ -410,12 +414,32 @@ def test_network_band_bounds_every_reduced_system(net):
 @pytest.mark.skipif(linalg._LAPACK is None, reason="numpy bundles no ILP64 OpenBLAS")
 def test_checked_overflow_agrees_under_fallback_kernel(monkeypatch):
     # The fallback kernel ignores the band and factors every reduced
-    # system dense: the same sets and counts, rates within 1e-12.
+    # system dense: the same sets and counts, rates within 1e-12.  It
+    # must really run: once for each inner step with rows to solve, the
+    # stable set the step starts from and the pass's overloaded set (a
+    # trace step's ``unstable`` when Q is not zero), and once for each
+    # Neumann solve of the condition check.
     nets = _cell_grids((2, 3, 5)) + [gen_example2(n) for n in (4, 12, 20, 34)]
     fast = [_solve_record(net) for net in nets]
+    eliminations = count_calls(monkeypatch, linalg, "_eliminate")
+    neumann_solves = count_calls(monkeypatch, linalg, "solve_left")
     monkeypatch.setattr(linalg, "_kernel", linalg._eliminate)
     for net, want in zip(nets, fast):
-        _assert_same_solve(_solve_record(net), want)
+        assert np.any(net.q)
+        eliminations.clear()
+        neumann_solves.clear()
+        got = _solve_record(net)
+        _assert_same_solve(got, want)
+        if isinstance(got, str):  # the n = 34 chain's condition fails
+            continue
+        solved_rows, stable = 0, frozenset()
+        for step in got[1].history:
+            if step.inner == 1:
+                stable = frozenset()
+            solved_rows += bool(stable | step.unstable)
+            stable = step.stable
+        assert solved_rows > 0
+        assert len(eliminations) == solved_rows + len(neumann_solves)
 
 
 @pytest.mark.xfail(

@@ -27,6 +27,9 @@ import numpy as np
 from .network import Network, make_network
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+#: Uniforms computed per ``_uniforms`` call of a ``_Draws`` stream.
+_DRAW_BLOCK = 4096
 
 
 class _SplitMix64:
@@ -35,14 +38,15 @@ class _SplitMix64:
     state += 0x9E3779B97F4A7C15 (mod 2**64); the output mixes the new
     state with xor-shifts by 30/27/31 and multiplies by
     0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.  ``uniform`` keeps the top
-    53 bits, giving a float in [0, 1).
+    53 bits, giving a float in [0, 1).  This is the scalar reference for
+    ``_uniforms``, which the generators use.
     """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -50,6 +54,38 @@ class _SplitMix64:
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) / float(1 << 53)
+
+
+def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws ``start`` to ``start + count - 1`` of ``_SplitMix64(seed)``'s
+    ``uniform``, at once: the stream is counter-based, so draw k mixes the
+    state ``seed + (k + 1) * 0x9E3779B97F4A7C15``, and ``uint64`` array
+    arithmetic wraps modulo 2**64 as the reference masks."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = z * np.uint64(_GAMMA) + np.uint64(seed & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) / float(1 << 53)
+
+
+class _Draws:
+    """``_SplitMix64(seed)``'s uniforms in order, ``take`` returning the
+    next ``count`` of them; they are computed ``_DRAW_BLOCK`` or more at a
+    time, so that a small network costs one ``_uniforms`` call."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.next = self.start = 0
+        self.block = np.empty(0)
+
+    def take(self, count: int) -> np.ndarray:
+        end = self.next + count
+        if end > self.start + len(self.block):
+            self.start = self.next
+            self.block = _uniforms(self.seed, self.start, max(count, _DRAW_BLOCK))
+        out = self.block[self.next - self.start : end - self.start]
+        self.next = end
+        return out
 
 
 @dataclass(frozen=True)
@@ -221,23 +257,23 @@ def gen_example4(alpha1: float) -> Network:
     return make_network(alpha, mu, p, q)
 
 
-def _random_routing(rng: _SplitMix64, n: int, density: float, leak: float) -> np.ndarray:
+def _random_routing(rng: _Draws, n: int, density: float, leak: float) -> np.ndarray:
     """One matrix of the documented draw order: for each row, inclusion
     draws for every off-diagonal column in ascending order, then weight
     draws for the included columns in ascending order; rows with at least
     one included entry are scaled to sum exactly 1 - leak."""
     m = np.zeros((n, n))
     for i in range(n):
-        included = [
-            j for j in range(n) if j != i and rng.uniform() < density
-        ]
-        if not included:
+        included = np.flatnonzero(rng.take(n - 1) < density)
+        if not included.size:
             continue
-        weights = np.array([rng.uniform() for _ in included])
+        weights = rng.take(included.size)
         total = weights.sum()
         if total <= 0:
             continue
-        m[i, included] = weights * (1.0 - leak) / total
+        off_diagonal = np.zeros(n - 1)
+        off_diagonal[included] = weights * (1.0 - leak) / total
+        m[i, :i], m[i, i + 1 :] = off_diagonal[:i], off_diagonal[i:]
     return m
 
 
@@ -270,11 +306,11 @@ def gen_random(
     if not 0.0 < leak <= 1.0:
         raise ValueError(f"leak must be in (0, 1], got {leak}")
 
-    rng = _SplitMix64(seed)
+    rng = _Draws(seed)
     p = _random_routing(rng, n, p_density, leak)
     q = _random_routing(rng, n, q_density, leak)
+    u = rng.take(n + 2)
     alpha = np.zeros(n)
-    position = min(int(rng.uniform() * n), n - 1)
-    alpha[position] = 0.1 + rng.uniform()
-    mu = np.array([0.5 + rng.uniform() for _ in range(n)])
+    alpha[min(int(u[0] * n), n - 1)] = 0.1 + u[1]
+    mu = 0.5 + u[2:]
     return make_network(alpha, mu, p, q)

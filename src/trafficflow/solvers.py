@@ -6,8 +6,10 @@ every linear step is one LAPACK call from scratch, with no warm starting
 and no factors carried between steps, so iteration counts are exactly
 reproducible.  A step of the stable-set iteration hands ``solve_reduced``
 only the rows of its stable and overloaded nodes, the others being
-identity rows, and the network's band; the census solves every full
-pattern system dense.
+identity rows, and the network's band; the census gathers the full
+pattern systems of a chunk of patterns by row and solves them dense with
+one ``_solve_stack`` call, a single stacked ``dgesv`` call when every
+system of the chunk is diagonally dominant.
 """
 
 from __future__ import annotations
@@ -75,22 +77,26 @@ class SolveTrace(_ValueEq):
 
 def _pattern_system(net: Network, stable: np.ndarray, overflow: np.ndarray):
     """Linearize the overflow equation for a stack of stable/overflow
-    patterns, given as boolean masks of shape (k, n).
+    patterns, given as disjoint boolean masks of shape (k, n).
 
     Returns (systems, rhs), of shapes (k, n, n) and (k, n), with
     ``rates @ systems[i] = rhs[i]`` equivalent to
     rates = alpha + mu @ P_(rest) + rates @ P_(stable) + (rates - mu) @ Q_(overflow):
     rows of P in ``stable[i]`` route the unknown rate, the remaining rows
     run at capacity, and rows of Q in ``overflow[i]`` carry linear (not
-    clipped) overflow terms.  Each rhs row is its own vector-matrix
-    product, so its bits do not depend on the rest of the stack.
+    clipped) overflow terms.  Row j of ``systems[i]`` is gathered from
+    ``[I - P; I - Q; I]``: row j of ``I - P`` for a stable j, of ``I - Q``
+    for an overflow j, and of I otherwise.  Each rhs row is its own
+    vector-matrix product, so its bits do not depend on the rest of the
+    stack.
     """
-    coeff = np.where(stable[:, :, None], net.p, 0.0) + np.where(
-        overflow[:, :, None], net.q, 0.0
-    )
+    n = net.n
+    eye = np.eye(n)
+    source = np.concatenate([eye - net.p, eye - net.q, eye])
+    rows = np.where(stable, 0, np.where(overflow, n, 2 * n)) + np.arange(n)
     inflow = np.matmul(np.where(stable, 0.0, net.mu)[:, None, :], net.p)[:, 0]
     outflow = np.matmul(np.where(overflow, net.mu, 0.0)[:, None, :], net.q)[:, 0]
-    return np.eye(net.n) - coeff, net.alpha + inflow - outflow
+    return source[rows], net.alpha + inflow - outflow
 
 
 def _network_band(net: Network) -> tuple[int, int] | None:
@@ -434,13 +440,14 @@ def _pattern_families(net: Network):
     ``(stable_mask, low, high, basis)``.
 
     The patterns are solved in chunks of about CENSUS_CHUNK_ENTRIES
-    matrix entries: one stack of pattern systems per chunk, one kernel
-    call, and the finiteness and region tests over the whole chunk.  A
-    unique solution is one point (``low is high``, no basis); it is
-    yielded only when it lies in its pattern's region, since outside it
-    the rule drops a point.  A singular pattern is classified by
-    ``_solve_singular``, and a consistent one's affine family is clipped
-    to the region, with ``basis`` spanning its directions.
+    matrix entries: one stack of pattern systems per chunk, one
+    ``_solve_stack`` call, and the finiteness and region tests over the
+    whole chunk.  A unique solution is one point (``low is high``, no
+    basis); it is yielded only when it lies in its pattern's region,
+    since outside it the rule drops a point.  A singular pattern is
+    classified by ``_solve_singular``, and a consistent one's affine
+    family is clipped to the region, with ``basis`` spanning its
+    directions.
     """
     n = net.n
     total = 2**n

@@ -13,6 +13,7 @@ from trafficflow import (
     solve_goodman_massey,
     validate_network,
 )
+from trafficflow.generators import _SplitMix64, _uniforms
 
 
 def _cell_node(m, col, row, role):
@@ -167,3 +168,48 @@ def test_random_network_parameter_validation():
         gen_random(3, seed=1, p_density=1.5)
     with pytest.raises(ValueError):
         gen_random(3, seed=1, leak=0.0)
+
+
+def _reference_routing(rng, n, density, leak):
+    """``gen_random``'s draw order, one scalar draw at a time."""
+    m = np.zeros((n, n))
+    for i in range(n):
+        included = [j for j in range(n) if j != i and rng.uniform() < density]
+        if not included:
+            continue
+        weights = np.array([rng.uniform() for _ in included])
+        total = weights.sum()
+        if total <= 0:
+            continue
+        m[i, included] = weights * (1.0 - leak) / total
+    return m
+
+
+def _reference_random(n, seed, p_density, q_density, leak):
+    rng = _SplitMix64(seed)
+    p = _reference_routing(rng, n, p_density, leak)
+    q = _reference_routing(rng, n, q_density, leak)
+    alpha = np.zeros(n)
+    position = min(int(rng.uniform() * n), n - 1)
+    alpha[position] = 0.1 + rng.uniform()
+    mu = np.array([0.5 + rng.uniform() for _ in range(n)])
+    return alpha, mu, p, q
+
+
+def test_random_networks_match_the_scalar_stream_byte_for_byte():
+    # The vectorized draws against _SplitMix64, one draw at a time, with
+    # seeds past 2**63 and negative ones reduced modulo 2**64.  From
+    # about 45 nodes a network takes more than one block of draws.
+    seeds = (0, 2**63 + 5, -1, -(2**40) - 3)
+    for seed in seeds:
+        rng = _SplitMix64(seed)
+        stream = [rng.uniform() for _ in range(50)]
+        assert _uniforms(seed, 0, 50).tolist() == stream
+        assert _uniforms(seed, 17, 9).tolist() == stream[17:26]
+    for n in [*range(1, 31), 50, 70]:
+        for density in (0.0, 0.3, 1.0):
+            for seed in seeds:
+                net = gen_random(n, seed, density, 1.0 - density, leak=0.1)
+                want = _reference_random(n, seed, density, 1.0 - density, 0.1)
+                for got, expected in zip((net.alpha, net.mu, net.p, net.q), want):
+                    assert got.tobytes() == expected.tobytes()

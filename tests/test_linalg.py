@@ -14,11 +14,13 @@ from trafficflow import (
     gen_example2,
     gen_example3,
     gen_example4,
+    gen_random,
     has_stochastic_class,
+    make_network,
     solve_left,
     spectral_radius,
 )
-from trafficflow import linalg
+from trafficflow import linalg, solvers
 from trafficflow.linalg import RADIUS_MARGIN, _solve_stack, neumann_values, solve_reduced
 from trafficflow.solvers import _pattern_system
 
@@ -263,6 +265,114 @@ def test_census_verdicts_agree_under_fallback_kernel(monkeypatch):
             pairs.append((got.base, want.base))
         for x, y in pairs:
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+#: The largest off-diagonal row sum that ``_dominant`` rejects.
+_DOMINANCE_EDGE = 1.0 - 2 * linalg.PIVOT_TOL
+
+
+def _edge_network(row_sum):
+    """Two nodes that route and overflow all but ``1 - row_sum`` of their
+    flow to each other: every pattern row has that off-diagonal sum."""
+    c = np.array([[0.0, row_sum], [row_sum, 0.0]])
+    return make_network([1.0, 0.0], [1.0, 1.0], c, c)
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy bundles no ILP64 OpenBLAS")
+def test_census_chunks_take_one_stacked_call_only_when_dominant(monkeypatch):
+    # A gen_random network's rows sum to 0.75 with a zero diagonal, so
+    # every chunk of its census is one numpy.linalg.solve call and none
+    # reaches the per-slice kernel (the only caller of _row_scales here).
+    # The triangle's rows sum to 1, a self-loop leaves the diagonal below
+    # 1, and a row sum at the edge is not below it: those chunks go to
+    # the per-slice kernel, as every chunk does under the fallback kernel.
+    stacked = count_calls(monkeypatch, np.linalg, "solve")
+    per_slice = count_calls(monkeypatch, linalg, "_row_scales")
+    for n in (3, 9, 11):
+        chunk = solvers.CENSUS_CHUNK_ENTRIES // (n * n)
+        enumerate_solutions(gen_random(n, seed=n))
+        assert (len(stacked), len(per_slice)) == (-(-(2**n) // chunk), 0)
+        stacked.clear()
+    below_edge = np.nextafter(_DOMINANCE_EDGE, 0.0)
+    enumerate_solutions(_edge_network(below_edge))
+    assert (len(stacked), len(per_slice)) == (1, 0)
+    self_loop = gen_random(4, seed=4)
+    p = self_loop.p.copy()
+    p[2, 2] = 0.1
+    for net in (
+        gen_example4(0.5),
+        make_network(self_loop.alpha, self_loop.mu, p, self_loop.q),
+        _edge_network(_DOMINANCE_EDGE),
+    ):
+        stacked.clear()
+        per_slice.clear()
+        enumerate_solutions(net)
+        assert (len(stacked), len(per_slice)) == (0, 1)
+    # The fallback kernel solves every stack itself.
+    monkeypatch.setattr(linalg, "_kernel", linalg._eliminate)
+    stacked.clear()
+    enumerate_solutions(gen_random(5, seed=5))
+    assert not stacked
+
+
+@st.composite
+def near_dominant_stacks(draw):
+    """Stacks ``(a, b)`` of up to 4 systems ``I - C`` of up to 7 rows,
+    C nonnegative and sometimes with a diagonal, each row of C scaled to
+    an off-diagonal sum at, just below or past the dominance edge."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    weights = draw(
+        arrays(np.float64, (k, n, n), elements=st.floats(0.0, 1.0), fill=st.nothing())
+    )
+    diagonal = np.arange(n)
+    loops = weights[:, diagonal, diagonal] * draw(st.sampled_from([0.0, 0.0, 1e-3, 0.5]))
+    weights[:, diagonal, diagonal] = 0.0
+    below = np.nextafter(_DOMINANCE_EDGE, 0.0)
+    targets = draw(
+        arrays(
+            np.float64,
+            (k, n, 1),
+            elements=st.sampled_from([0.0, 0.3, 0.75, below, _DOMINANCE_EDGE, 1.0, 1.5]),
+        )
+    )
+    sums = weights.sum(axis=2, keepdims=True)
+    c = np.divide(weights * targets, sums, out=np.zeros_like(weights), where=sums > 0)
+    c[:, diagonal, diagonal] = loops
+    b = draw(arrays(np.float64, (k, n), elements=st.floats(-10.0, 10.0)))
+    return np.eye(n) - c, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_dominant_stacks())
+@example(((np.eye(3) - 0.25 * (1 - np.eye(3)))[None], np.array([[1.0, 2.0, 3.0]])))
+@example(((np.eye(2) - _DOMINANCE_EDGE * (1 - np.eye(2)))[None], np.ones((1, 2))))
+def test_dominant_stacks_are_unique_with_the_bits_of_solve_left(stack):
+    # Whenever _dominant certifies a stack, each slice is UNIQUE to
+    # solve_left and the stack's one call returns its bytes; any other
+    # stack keeps the per-slice path's status and bits.
+    a, b = stack
+    x = _solve_stack(a, b)
+    dominant = linalg._dominant(a, b)
+    for system, rhs, got in zip(a, b, x):
+        want = solve_left(system, rhs)
+        if dominant:
+            assert want.status is SolveStatus.UNIQUE
+        assert (want.status is SolveStatus.UNIQUE) == np.isfinite(got).all()
+        if want.status is SolveStatus.UNIQUE:
+            assert got.tobytes() == want.x.tobytes()
+
+
+def test_dominant_stack_rejects_non_finite_input():
+    a = np.stack([np.eye(3) - 0.25 * (1 - np.eye(3))] * 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        b = np.ones((2, 3))
+        b[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _solve_stack(a, b)
+        nan_a = a.copy()
+        nan_a[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _solve_stack(nan_a, np.ones((2, 3)))
 
 
 def _banded_system(rng, n, kl, ku):

@@ -385,6 +385,26 @@ def test_reduced_stable_set_loop_matches_dense_reference(monkeypatch):
         _assert_same_solve(result, _solve_record(net, **kwargs))
 
 
+def test_pattern_system_gathers_the_broadcast_rows_bit_for_bit():
+    # Random disjoint stable and overflow masks, with rows in neither
+    # (identity rows), on random networks, some with self-loops: the
+    # gathered systems equal I - (P on stable rows + Q on overflow rows)
+    # to the bit.
+    rng = np.random.default_rng(19)
+    nets = corpus(20, sizes=range(1, 13)) + [gen_example4(1.0)]
+    for net in corpus(10, seed_base=50, sizes=range(2, 8)):
+        loops = np.diag(rng.random(net.n) * (rng.random(net.n) < 0.5))
+        nets.append(make_network(net.alpha, net.mu, net.p * 0.5 + loops / 2, net.q))
+    for net in nets:
+        role = rng.integers(0, 3, size=(16, net.n))
+        stable, overflow = role == 0, role == 1
+        systems, _ = _pattern_system(net, stable, overflow)
+        coeff = np.where(stable[:, :, None], net.p, 0.0) + np.where(
+            overflow[:, :, None], net.q, 0.0
+        )
+        assert systems.tobytes() == (np.eye(net.n) - coeff).tobytes()
+
+
 @settings(max_examples=100)
 @given(hard_networks())
 def test_network_band_bounds_every_reduced_system(net):

@@ -130,8 +130,11 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray
     Partial pivoting on the equilibrated system picks the pivots of
     ``_eliminate``'s scaled partial pivoting, and ``_regular`` is its
     relative pivot test.  Returns the solutions, with a row of NaN for
-    each singular slice.  Unlike ``_solve_dense`` it keeps three arrays:
-    one buffer per census chunk raised the census's peak memory 0.1 MB.
+    each singular slice.  The calls go slice by slice so that each U
+    diagonal stays readable for that test; ``_solve_stack`` hands this
+    kernel only the stacks ``_dominant`` does not certify.  Unlike
+    ``_solve_dense`` it keeps three arrays: one buffer per census chunk
+    raised the census's peak memory 0.1 MB.
     """
     k, n = b.shape
     # C order, so LAPACK's column-major view of each slice is D^-1 a[i].T.

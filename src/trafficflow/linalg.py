@@ -10,12 +10,16 @@ transposed system, from the OpenBLAS that numpy's wheel bundles
 (``numpy.libs/libscipy_openblas64_*.so``), called through ctypes so that
 SciPy is never imported.  Where that library is missing, the pure-Python
 elimination ``_eliminate`` is the kernel; the import decides which, once.
-``solve_left`` and ``solve_reduced`` solve one system; the census solves
-a stack of pattern systems with ``_solve_stack``.  A stack whose every
-system has a unit diagonal and rows of off-diagonal absolute sum below
-``1 - 2 PIVOT_TOL`` needs neither equilibration (every row scale is 1)
-nor the pivot test (no pivot falls below that margin), so it goes to the
-same ``dgesv`` in one ``numpy.linalg.solve`` call, with the same bits.
+``solve_left`` solves one system given as an array.  ``solve_reduced``
+solves ``x_R (I - C_RR) = b_R`` given the rows C_R, forming the system in
+the kernel's buffer: a banded one as its band alone, with no r x r array,
+and with no equilibration when the caller states that every column scale
+is 1.  The census solves a stack of pattern systems with
+``_solve_stack``.  A stack whose every system has a unit diagonal and
+rows of off-diagonal absolute sum below ``1 - 2 PIVOT_TOL`` needs neither
+equilibration (every row scale is 1) nor the pivot test (no pivot falls
+below that margin), so it goes to the same ``dgesv`` in one
+``numpy.linalg.solve`` call, with the same bits.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray
     each singular slice.  The calls go slice by slice so that each U
     diagonal stays readable for that test; ``_solve_stack`` hands this
     kernel only the stacks ``_dominant`` does not certify.  Unlike
-    ``_solve_dense`` it keeps three arrays: one buffer per census chunk
+    ``_dense_buffer`` it keeps three arrays: one buffer per census chunk
     raised the census's peak memory 0.1 MB.
     """
     k, n = b.shape
@@ -151,54 +155,51 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray
     return x
 
 
-def _solve_dense(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_solve_lapack`` for one system ``x @ a = b``, with no stack axis."""
-    n = len(b)
-    # One buffer, so one address lookup: n, nrhs = 1, info, the row
-    # interchanges, D^-1 a.T in column-major order, then D^-1 b.
+def _dense_buffer(n: int):
+    """One ``dgesv`` buffer for an order-n system, so one address lookup:
+    n, nrhs = 1, info, the row interchanges, the matrix in column-major
+    order, then the rhs.  Returns it with views of the matrix, as the rows
+    of its transpose, and of the rhs."""
     head = 3 + n
     buf = np.empty(head + n * (n + 1))
     buf[:3].view(np.int64)[:] = n, 1, 0
-    lu = buf[head : head + n * n]
-    np.divide(a, scale, out=lu.reshape(n, n))
-    x = buf[head + n * n :]
-    np.divide(b, scale, out=x)
+    return buf, buf[head : head + n * n].reshape(n, n), buf[head + n * n :]
+
+
+def _gesv(buf: np.ndarray, lu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Run ``dgesv`` on a filled ``_dense_buffer``: the solution, or NaN
+    where ``_regular`` fails."""
+    n = len(x)
     p = buf.ctypes.data
-    _LAPACK[0](p, p + 8, p + 8 * head, p, p + 24, p + 8 * (head + n * n), p, p + 16)
+    lu_at = p + 8 * (3 + n)
+    _LAPACK[0](p, p + 8, lu_at, p, p + 24, lu_at + 8 * n * n, p, p + 16)
     # A copy, so that the factors are freed on return.
-    return x.copy() if _regular(lu[:: n + 1]) else np.full(n, np.nan)
+    return x.copy() if _regular(lu.reshape(-1)[:: n + 1]) else np.full(n, np.nan)
 
 
-def _solve_banded(
-    a: np.ndarray, scale: np.ndarray, b: np.ndarray, kl: int, ku: int
-) -> np.ndarray:
-    """``_solve_dense`` for a system whose ``a.T`` has at most ``kl``
-    subdiagonals and ``ku`` superdiagonals, by one ``dgbsv``.  Row partial
-    pivoting within the band picks the dense pivots, since every
-    candidate outside it is 0, and ``_regular`` on the band row that holds
-    U's diagonal is the same pivot test.  Entries outside the band are
-    ignored.
-    """
-    n = len(b)
+def _band_buffer(n: int, kl: int, ku: int):
+    """The ``dgbsv`` counterpart of ``_dense_buffer``, zeroed: n, kl, ku,
+    the leading dimension 2 kl + ku + 1, nrhs = 1, info, the row
+    interchanges, the band storage, then the rhs.  Row c of the band
+    storage is column c of the matrix M: kl entries for fill-in, then entry
+    kl + t is ``M[c - ku + t, c]``.  Returns it with views of the band
+    storage and of the rhs."""
     width = 2 * kl + ku + 1
-    # Row c of LAPACK's band storage is column c of the equilibrated
-    # transpose M after kl entries for fill-in: entry kl + t is
-    # M[j, c] = a[c, j] / scale[j] for j = c - ku + t, or 0 outside M.
-    c = np.arange(n)[:, None]
-    cols = c + np.arange(-ku, kl + 1)
-    inside = (cols >= 0) & (cols < n)
-    cols = np.where(inside, cols, 0)
-    # n, kl, ku, width, nrhs = 1, info, the row interchanges, the band, D^-1 b.
     head = 6 + n
     buf = np.zeros(head + n * (width + 1))
-    ab = buf[head : head + n * width].reshape(n, width)
-    x = buf[head + n * width :]
-    np.divide(a[c, cols], scale[cols], out=ab[:, kl:], where=inside)
-    np.divide(b, scale, out=x)
     buf[:6].view(np.int64)[:] = n, kl, ku, width, 1, 0
+    return buf, buf[head : head + n * width].reshape(n, width), buf[head + n * width :]
+
+
+def _gbsv(buf: np.ndarray, ab: np.ndarray, x: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """Run ``dgbsv`` on a filled ``_band_buffer``: the solution, or NaN
+    where ``_regular`` fails on the band row that holds U's diagonal.  Row
+    partial pivoting within the band picks the dense pivots, since every
+    candidate outside it is 0, so this is the dense pivot test."""
+    n, width = ab.shape
     p = buf.ctypes.data
-    ab_at, x_at = p + 8 * head, p + 8 * (head + n * width)
-    _LAPACK[1](p, p + 8, p + 16, p + 32, ab_at, p + 24, p + 48, x_at, p, p + 40)
+    ab_at = p + 8 * (6 + n)
+    _LAPACK[1](p, p + 8, p + 16, p + 32, ab_at, p + 24, p + 48, ab_at + 8 * n * width, p, p + 40)
     return x.copy() if _regular(ab[:, kl + ku]) else np.full(n, np.nan)
 
 
@@ -269,20 +270,19 @@ def _solve_singular(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
     return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
 
 
-def _solve(a: np.ndarray, b: np.ndarray, band=None) -> LinearSolveResult:
-    """One system ``x @ a = b``: dense, with the bits of a stack of one
-    through ``_solve_stack`` but no stack axis, or banded when ``band``
-    allows it.  ``_solve_singular`` classifies a non-finite solution."""
-    n = len(b)
-    if n == 0 or _kernel is not _solve_lapack:
+def _solve(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
+    """One system ``x @ a = b``, dense, with the bits of a stack of one
+    through ``_solve_stack`` but no stack axis.  ``_solve_singular``
+    classifies a non-finite solution."""
+    if len(b) == 0 or _kernel is not _solve_lapack:
         x = _solve_stack(a[None], b[None])[0]
     else:
         scale = _row_scales(a, b)
+        buf, lu, x = _dense_buffer(len(b))
         with np.errstate(over="ignore", invalid="ignore"):
-            if band is not None and n > BAND_MIN_ROWS and 2 * band[0] + band[1] + 1 < n:
-                x = _solve_banded(a, scale, b, *band)
-            else:
-                x = _solve_dense(a, scale, b)
+            np.divide(a, scale, out=lu)
+            np.divide(b, scale, out=x)
+        x = _gesv(buf, lu, x)
     if np.isfinite(x).all():
         return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
     return _solve_singular(a, b)
@@ -305,21 +305,111 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     return _solve(a, b)
 
 
-def solve_reduced(
-    system: np.ndarray, rows: np.ndarray, b: np.ndarray, band=None
-) -> LinearSolveResult:
-    """``solve_left`` of ``x_R @ system[R][:, R] = b[R]`` for the
-    ascending indices R = ``rows`` of ``system`` (n x n) and ``b`` (n);
-    no row gives the empty solution.
+def _identity_minus(m: np.ndarray, diagonal: np.ndarray) -> None:
+    """Overwrite m with ``I - m``, given the view ``diagonal`` of m that I
+    covers, by the IEEE operations of ``np.eye(n) - m``: ``0 - c`` is
+    exact, so ``1 + (0 - c)`` is ``1 - c``."""
+    np.subtract(0.0, m, out=m)
+    diagonal += 1.0
 
-    ``band``, given as ``(kl, ku)``, is the caller's statement that
-    ``system`` is nonzero off its diagonal only at ``[i, j]`` with
-    ``-ku <= j - i <= kl``; so is the reduced system, whose rows and
-    columns keep their order.  One of more than BAND_MIN_ROWS rows with
-    ``2 kl + ku + 1`` below its order is then factored banded, ignoring
-    entries outside the band.
+
+def _reduced_system(routes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``I - C_RR`` as an array, from ``solve_reduced``'s arguments."""
+    return np.eye(len(rows)) - routes[:-1].take(rows, 1)
+
+
+def _reduced_dense(routes, rows, b, unit_scales):
+    """The dense kernel on ``I - C_RR``, gathered into its buffer."""
+    buf, lu, x = _dense_buffer(len(b))
+    routes[:-1].take(rows, 1, out=lu, mode="clip")
+    _identity_minus(lu, lu.reshape(-1)[:: len(b) + 1])
+    if unit_scales:
+        x[:] = b
+    else:
+        scale = _row_scales(lu, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(lu, scale, out=lu)
+            np.divide(b, scale, out=x)
+    return _gesv(buf, lu, x)
+
+
+def _windows(v: np.ndarray, w: int) -> np.ndarray:
+    """The views ``v[c : c + w]``, as the rows of one array.  Not numpy's
+    ``sliding_window_view``: under numpy 2.4 its memory use grew with the
+    number of calls, about 1 MB of peak RSS over ten cell-grid sweeps."""
+    return np.ndarray((len(v) - w + 1, w), v.dtype, v, strides=2 * v.strides)
+
+
+def _reduced_banded(routes, rows, b, kl, ku, unit_scales):
+    """The banded kernel on ``I - C_RR``, whose band is gathered straight
+    from ``routes`` into band storage: no r x r system is built."""
+    r, n = len(b), routes.shape[1]
+    w = kl + ku + 1
+    buf, ab, x = _band_buffer(r, kl, ku)
+    # Slot [c, t] is (I - C_RR)[c, j] for j = c - ku + t, at the flat index
+    # c n + rows[j] of routes.  A j outside the system indexes past the
+    # end, which "clip" maps to the last entry, in the zero row.
+    cols = np.full(r + w - 1, routes.size)
+    cols[ku : ku + r] = rows
+    index = np.arange(0, r * n, n)[:, None] + _windows(cols, w)
+    if unit_scales:
+        band = ab[:, kl:]
+    else:
+        # With kl zero rows above the band and ku below it.
+        padded = np.zeros((r + w - 1, w))
+        band = padded[kl : kl + r]
+    np.take(routes, index, out=band, mode="clip")
+    _identity_minus(band, band[:, ku])
+    if unit_scales:
+        x[:] = b
+    else:
+        # Column j of the system, the slots [c, j - c + ku] for c = j - kl
+        # ... j + ku, is one strided row of ``columns``.
+        columns = np.ndarray((r, w), float, padded, 8 * (w - 1), (8 * w, 8 * (w - 1)))
+        scale = _row_scales(columns.T, b)
+        ones = np.ones(r + w - 1)
+        ones[ku : ku + r] = scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(band, _windows(ones, w), out=ab[:, kl:])
+            np.divide(b, scale, out=x)
+    return _gbsv(buf, ab, x, kl, ku)
+
+
+def solve_reduced(
+    routes: np.ndarray,
+    rows: np.ndarray,
+    b: np.ndarray,
+    band: tuple[int, int] | None = None,
+    unit_scales: bool = False,
+) -> LinearSolveResult:
+    """``solve_left`` of ``x_R @ (I - C_RR) = b[R]`` for the ascending
+    indices R = ``rows`` of ``b`` (n) and of an n x n matrix C, given as
+    ``routes``: C's rows R, then one row of zeros.  No row gives the empty
+    solution.  The system is formed in the kernel's buffer by the IEEE
+    operations of ``np.eye(n) - C``.
+
+    ``band``, given as ``(kl, ku)``, is the caller's statement that C is
+    nonzero off its diagonal only at ``[i, j]`` with ``-ku <= j - i <=
+    kl``; so is ``C_RR``, whose rows and columns keep their order.  A
+    system of more than BAND_MIN_ROWS rows with ``2 kl + ku + 1`` below
+    its order is then factored banded, ignoring entries outside the band.
+    ``unit_scales`` states that C has a zero diagonal and entries in
+    [0, 1]: every column scale of ``I - C_RR`` is then exactly 1, so
+    equilibration is skipped and only the rhs is checked for finiteness.
     """
-    return _solve(system.take(rows, 0).take(rows, 1), b.take(rows), band)
+    r = len(rows)
+    b = b.take(rows)
+    if r == 0 or _kernel is not _solve_lapack:
+        return _solve(_reduced_system(routes, rows), b)
+    if unit_scales and not np.isfinite(b).all():
+        raise ValueError("matrix and rhs must be finite")
+    if band is not None and r > BAND_MIN_ROWS and 2 * band[0] + band[1] + 1 < r:
+        x = _reduced_banded(routes, rows, b, *band, unit_scales)
+    else:
+        x = _reduced_dense(routes, rows, b, unit_scales)
+    if np.isfinite(x).all():
+        return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
+    return _solve_singular(_reduced_system(routes, rows), b)
 
 
 def neumann_values(m: np.ndarray) -> np.ndarray | None:

@@ -4,9 +4,10 @@ Three solvers share one convention: rates are row vectors, node i is
 overloaded when its rate reaches capacity (within a small margin), and
 every linear step is one LAPACK call from scratch, with no warm starting
 and no factors carried between steps, so iteration counts are exactly
-reproducible.  A step of the stable-set iteration hands ``solve_reduced``
-only the rows of its stable and overloaded nodes, the others being
-identity rows, and the network's band; the census gathers the full
+reproducible.  A step of the stable-set iteration gathers the
+coefficient rows of its stable and overloaded nodes, the others being
+identity rows, from ``[P; Q]``, stacked once per solve, and hands them
+to ``solve_reduced`` with the network's band; the census gathers the full
 pattern systems of a chunk of patterns by row and solves them dense with
 one ``_solve_stack`` call, a single stacked ``dgesv`` call when every
 system of the chunk is diagonally dominant.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,9 +114,28 @@ def _network_band(net: Network) -> tuple[int, int] | None:
     return int(np.max(offset, initial=0)), int(-np.min(offset, initial=0))
 
 
-def _stable_set_loop(
-    net: Network, overloaded: frozenset[int], budget: int, band: tuple[int, int] | None
-):
+class _Routing(NamedTuple):
+    """What every stable-set pass of one solve shares: ``source``, the
+    rows of P, then those of Q, then a row of zeros, (2n + 1) x n; the
+    network band; and whether equilibration is the identity."""
+
+    source: np.ndarray
+    band: tuple[int, int] | None
+    unit_scales: bool
+
+
+def _routing(net: Network) -> _Routing:
+    """The ``_Routing`` of ``net``, built once per solve.  With zero
+    diagonals in P and Q and every entry in [0, 1], each reduced system
+    ``I - C_RR`` has a unit diagonal and no larger entry, so every column
+    scale is exactly 1."""
+    source = np.concatenate([net.p, net.q, np.zeros((1, net.n))])
+    loops = net.p.diagonal().any() or net.q.diagonal().any()
+    in_unit = np.min(source, initial=0.0) >= 0.0 and np.max(source, initial=0.0) <= 1.0
+    return _Routing(source, _network_band(net), bool(not loops and in_unit))
+
+
+def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int, routing: _Routing):
     """The stable-set growth iteration with a fixed overloaded set.
 
     Starting from an empty stable set, each pass solves the pattern
@@ -128,34 +149,40 @@ def _stable_set_loop(
     iteration.
 
     Only the rows R = stable | overloaded of the pattern system are not
-    identity rows, so each pass solves ``x_R (I - C_RR) = b_R`` with one
+    identity rows.  Each pass gathers their coefficient rows C_R from
+    ``routing.source``, solves ``x_R (I - C_RR) = b_R`` with one
     ``solve_reduced`` call (no rows when R is empty) and gets the other
     rates from ``x = b + x_R @ C_R``.  The pattern system is block
     triangular, so it is singular exactly when the reduced one is.
     """
-    overflow = np.zeros(net.n, dtype=bool)
+    n = net.n
+    overflow = np.zeros(n, dtype=bool)
     overflow[list(overloaded)] = True
     outflow = np.where(overflow, net.mu, 0.0) @ net.q
     # The stable set never meets the overloaded one, so row i of every
     # pass's coefficient matrix is Q's for an overloaded i and P's for a
-    # stable one: each pass takes its rows R of these.
-    routes = np.where(overflow[:, None], net.q, net.p)
-    system = np.eye(net.n) - routes
+    # stable one: source row i + n for the one, i for the other.  The last
+    # entries select the zero row that solve_reduced takes after C_R.
+    source_rows = np.append(np.arange(n) + n * overflow, 2 * n)
+    selected = np.append(overflow, True)
     threshold = net.mu - STABILITY_MARGIN
-    stable_mask = np.zeros(net.n, dtype=bool)
+    stable_mask = np.zeros(n, dtype=bool)
     stable: frozenset[int] = frozenset()
     solves = []
     for _ in range(budget):
         # _pattern_system's rhs for this one pattern, with the same bits.
         b = net.alpha + np.where(stable_mask, 0.0, net.mu) @ net.p - outflow
-        rows = (stable_mask | overflow).nonzero()[0]
-        result = solve_reduced(system, rows, b, band)
+        np.logical_or(stable_mask, overflow, out=selected[:n])
+        picked = selected.nonzero()[0]
+        rows = picked[:-1]
+        routes = routing.source.take(source_rows.take(picked), 0)
+        result = solve_reduced(routes, rows, b, routing.band, routing.unit_scales)
         if result.status is not SolveStatus.UNIQUE:
             raise SingularInnerSystemError(
                 f"inner system is {result.status.value} for stable rows "
                 f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
             )
-        x = b + result.x @ routes.take(rows, 0)
+        x = b + result.x @ routes[:-1]
         x[rows] = result.x
         unstable = x >= threshold
         stable_mask = ~(unstable | overflow)
@@ -167,11 +194,11 @@ def _stable_set_loop(
     return None
 
 
-def _goodman_massey_pass(net: Network, band: tuple[int, int] | None):
+def _goodman_massey_pass(net: Network, routing: _Routing):
     """The Goodman-Massey iteration: at most one linear solve per node
-    plus a confirming solve (n + 2 allowed), given ``_network_band(net)``.
+    plus a confirming solve (n + 2 allowed), given ``_routing(net)``.
     Returns the loop's triples."""
-    solves = _stable_set_loop(net, frozenset(), net.n + 2, band)
+    solves = _stable_set_loop(net, frozenset(), net.n + 2, routing)
     if solves is None:
         raise NonConvergenceError("stable-set iteration failed to settle")
     return solves
@@ -228,7 +255,7 @@ def solve_goodman_massey(net: Network) -> tuple[TrafficSolution, SolveTrace]:
     isolated = isolated_classes(net)
     if isolated:
         raise IsolatedClassError(isolated)
-    solves = _goodman_massey_pass(net, _network_band(net))
+    solves = _goodman_massey_pass(net, _routing(net))
     solution = _solution(net, solves[-1][0], Equation.GOODMAN_MASSEY)
     return solution, _goodman_massey_trace(solves)
 
@@ -261,8 +288,8 @@ def solve_overflow(
     isolated = isolated_classes(net)
     if isolated:
         raise IsolatedClassError(isolated)
-    band = _network_band(net)
-    solves = _goodman_massey_pass(net, band)
+    routing = _routing(net)
+    solves = _goodman_massey_pass(net, routing)
     if not best_effort:
         verdict = check_overflow_condition(net, solves[-1][2])
         if not verdict.holds():
@@ -277,7 +304,7 @@ def solve_overflow(
         steps: list[TraceStep] = []
         for kappa in range(1, n + 3):
             if kappa > 1:
-                solves = _stable_set_loop(net, overloaded, cap - len(steps), band)
+                solves = _stable_set_loop(net, overloaded, cap - len(steps), routing)
                 if solves is None:
                     raise NonConvergenceError(
                         f"exceeded iteration cap {cap} without reaching a fixed point"

@@ -124,27 +124,43 @@ def test_solve_left_equilibration_raises_no_warning():
     assert result.status is not SolveStatus.UNIQUE
 
 
+def _routes(c, rows):
+    """``solve_reduced``'s ``routes`` for the rows R = ``rows`` of C: C_R,
+    then a row of zeros."""
+    return np.concatenate([c[rows], np.zeros((1, len(c)))])
+
+
+def _materialized(c, rows):
+    """The reduced system ``I - C_RR`` as an array."""
+    return np.eye(len(rows)) - c[np.ix_(rows, rows)]
+
+
 def test_solve_reduced_equilibration_raises_no_warning():
     # A column scale near the underflow limit in the gathered system
     # overflows the equilibrated rhs; the solve classifies that silently,
     # as solve_left does.
-    system = np.array([[1e-320, 0.0, 5.0], [0.0, 1.0, 0.0], [7.0, 0.0, 1.0]])
+    c = np.array([[1.0, 0.0, -5.0], [1e-320, 0.0, 0.0], [-7.0, 0.0, 0.0]])
     rows = np.array([0, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = solve_reduced(system, rows, np.ones(3))
-    want = solve_left(np.array([[1e-320, 0.0], [0.0, 1.0]]), np.ones(2))
+        result = solve_reduced(_routes(c, rows), rows, np.ones(3))
+    want = solve_left(_materialized(c, rows), np.ones(2))
     assert result.status is want.status is not SolveStatus.UNIQUE
 
 
 def test_solve_reduced_rejects_non_finite_input():
     for bad in (np.nan, np.inf):
-        system = np.eye(3)
-        system[0, 2] = bad
+        c = np.zeros((3, 3))
+        c[0, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            solve_reduced(system, np.array([0, 2]), np.ones(3))
+            solve_reduced(_routes(c, [0, 2]), np.array([0, 2]), np.ones(3))
         # Entries outside the gathered rows play no part.
-        assert solve_reduced(system, np.array([1, 2]), np.ones(3)).status is SolveStatus.UNIQUE
+        rows = np.array([1, 2])
+        assert solve_reduced(_routes(c, rows), rows, np.ones(3)).status is SolveStatus.UNIQUE
+        # A non-finite rhs is rejected with or without equilibration.
+        for unit_scales in (False, True):
+            with pytest.raises(ValueError, match="finite"):
+                solve_reduced(_routes(c, rows), rows, np.array([1.0, 1.0, bad]), None, unit_scales)
 
 
 class TestEliminateFallback:
@@ -375,14 +391,14 @@ def test_dominant_stack_rejects_non_finite_input():
             _solve_stack(nan_a, np.ones((2, 3)))
 
 
-def _banded_system(rng, n, kl, ku):
-    """A random ``x @ a = b`` whose ``a`` is nonzero only at ``[i, j]``
-    with ``-ku <= j - i <= kl``: the identity minus a band whose rows sum
-    to less than 1, as in a pattern system."""
+def _banded_routing(rng, n, kl, ku, diagonal=True):
+    """A random n x n routing matrix C with rows summing to less than 1,
+    nonzero only at ``[i, j]`` with ``-ku <= j - i <= kl`` (off the
+    diagonal unless ``diagonal``), as in a pattern system, and a rhs."""
     offset = np.subtract.outer(np.arange(n), np.arange(n))
-    c = rng.random((n, n)) * ((offset <= ku) & (-offset <= kl))
-    c *= rng.random((n, 1)) / c.sum(axis=1, keepdims=True)
-    return np.eye(n) - c, rng.standard_normal(n)
+    c = rng.random((n, n)) * ((offset <= ku) & (-offset <= kl) & (diagonal | (offset != 0)))
+    c *= rng.random((n, 1)) / np.maximum(c.sum(axis=1, keepdims=True), 1e-300)
+    return c, rng.standard_normal(n)
 
 
 def _assert_agree(got, want):
@@ -399,7 +415,7 @@ def test_banded_and_dense_kernels_agree(monkeypatch):
     # systems, systems singular to the pivot test (a zero column with a
     # consistent or an inconsistent rhs, or a zero row) and copies with
     # their columns and rhs scaled by up to 1e30.
-    banded = count_calls(monkeypatch, linalg, "_solve_banded")
+    banded = count_calls(monkeypatch, linalg, "_reduced_banded")
     rng = np.random.default_rng(29)
     n = linalg.BAND_MIN_ROWS + 9
     every = np.arange(n)
@@ -408,41 +424,147 @@ def test_banded_and_dense_kernels_agree(monkeypatch):
     statuses = set()
     for kl, ku in bands:
         for kind in ("regular", "regular", "consistent", "inconsistent", "zero row"):
-            a, b = _banded_system(rng, n, kl, ku)
+            c, b = _banded_routing(rng, n, kl, ku)
             j = int(rng.integers(n))
             if kind == "zero row":
-                a[j] = 0.0
+                c[j] = np.eye(n)[j]
             elif kind != "regular":
-                a[:, j] = 0.0
+                c[:, j] = np.eye(n)[j]
                 b[j] = 0.0 if kind == "consistent" else 1.0
-            want = solve_left(a, b)
-            got = solve_reduced(a, every, b, (kl, ku))
+            want = solve_left(np.eye(n) - c, b)
+            got = solve_reduced(_routes(c, every), every, b, (kl, ku))
             assert got.status is want.status
             _assert_agree(got, want)
             # Scaling can move a singular system's consistency verdict (its
             # residual test is absolute) but not its pivot test.
-            _assert_agree(solve_reduced(a * factors, every, b * factors, (kl, ku)), want)
+            scaled = np.eye(n) - (np.eye(n) - c) * factors
+            got = solve_reduced(_routes(scaled, every), every, b * factors, (kl, ku))
+            _assert_agree(got, solve_left(np.eye(n) - scaled, b * factors))
             statuses.add(want.status)
         # Reduced systems, as the stable-set loop gathers them: still
         # above the cut-over, and within the band of the whole.
         for _ in range(3):
-            a, b = _banded_system(rng, n, kl, ku)
+            c, b = _banded_routing(rng, n, kl, ku)
             rows = np.sort(rng.choice(n, size=n - 5, replace=False))
-            want = solve_left(a[np.ix_(rows, rows)], b[rows])
-            _assert_agree(solve_reduced(a, rows, b, (kl, ku)), want)
+            want = solve_left(_materialized(c, rows), b[rows])
+            _assert_agree(solve_reduced(_routes(c, rows), rows, b, (kl, ku)), want)
     assert statuses == set(SolveStatus)
     assert len(banded) == 13 * len(bands)
     # A band too wide for its size, a system at the cut-over, and the
     # fallback kernel all factor dense: the same bits as with no band.
     cases = [(n, (n // 2, 1)), (linalg.BAND_MIN_ROWS, (1, 1))]
     for size, band in cases:
-        a, b = _banded_system(rng, size, *band)
-        got = solve_reduced(a, np.arange(size), b, band)
-        assert got.x.tobytes() == solve_left(a, b).x.tobytes()
+        c, b = _banded_routing(rng, size, *band)
+        every = np.arange(size)
+        got = solve_reduced(_routes(c, every), every, b, band)
+        assert got.x.tobytes() == solve_left(np.eye(size) - c, b).x.tobytes()
     monkeypatch.setattr(linalg, "_kernel", linalg._eliminate)
-    a, b = _banded_system(rng, n, 1, 1)
-    assert solve_reduced(a, every, b, (1, 1)).x.tobytes() == solve_left(a, b).x.tobytes()
+    c, b = _banded_routing(rng, n, 1, 1)
+    every = np.arange(n)
+    got = solve_reduced(_routes(c, every), every, b, (1, 1))
+    assert got.x.tobytes() == solve_left(np.eye(n) - c, b).x.tobytes()
     assert len(banded) == 13 * len(bands)
+
+
+def _band_reference(a, b, kl, ku):
+    """The banded kernel on the array ``a``, its band storage filled entry
+    by entry: ``solve_reduced``'s result, by another route."""
+    n = len(b)
+    scale = linalg._row_scales(a, b)
+    buf, ab, x = linalg._band_buffer(n, kl, ku)
+    for col in range(n):
+        for row in range(max(0, col - ku), min(n, col + kl + 1)):
+            ab[col, kl + ku + row - col] = a[col, row] / scale[row]
+    x[:] = b / scale
+    x = linalg._gbsv(buf, ab, x, kl, ku)
+    if np.isfinite(x).all():
+        return linalg.LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
+    return linalg._solve_singular(a, b)
+
+
+def _make_singular(rng, c, rows, reach=None):
+    """Make ``I - C_RR`` singular: by a unit self-loop, which leaves a zero
+    row; or, keeping C's diagonal zero, by a two-cycle of unit routes
+    between rows at most ``reach`` apart, whose rows of ``I - C_RR`` are
+    ``e_j - e_k`` and ``e_k - e_j``.  Within a band with ``kl`` or ``ku``
+    0, ``C_RR`` is triangular with a zero diagonal and cannot be made so;
+    then C stays as it is."""
+    n = len(c)
+    if reach is None:
+        j = rows[int(rng.integers(len(rows)))]
+        c[j] = np.eye(n)[j]
+        return
+    near = np.flatnonzero(np.diff(rows) <= reach)
+    if reach > 0 and len(near):
+        i = near[int(rng.integers(len(near)))]
+        j, k = rows[i], rows[i + 1]
+        c[[j, k]] = np.eye(n)[[k, j]]
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy bundles no ILP64 OpenBLAS")
+@pytest.mark.parametrize("unit_scales", [True, False])
+def test_reduced_gather_matches_the_materialized_system_bit_for_bit(monkeypatch, unit_scales):
+    # solve_reduced gathers its system from C's rows; the materialized
+    # I - C_RR, solved by solve_left where the system is factored dense
+    # and by the band kernel filled entry by entry where it is banded,
+    # gives the same status and the same bytes, and hands LAPACK the same
+    # bytes: band slots outside the system hold +0.0.  With unit_scales,
+    # C has a zero diagonal and entries in [0, 1] and equilibration is
+    # skipped; without, C has self-loops and columns scaled by up to 1e3,
+    # and the scales come from the gathered band.
+    banded = count_calls(monkeypatch, linalg, "_reduced_banded")
+    inputs = []
+    for name in ("_gesv", "_gbsv"):
+        kernel = getattr(linalg, name)
+
+        def recorded(buf, m, x, *band, kernel=kernel):
+            inputs.append(m.tobytes() + x.tobytes())
+            return kernel(buf, m, x, *band)
+
+        monkeypatch.setattr(linalg, name, recorded)
+    rng = np.random.default_rng(37)
+    cut = linalg.BAND_MIN_ROWS
+    # (n, r, kl, ku): r = n keeps the first and last node; kl or ku = 0;
+    # the smallest banded order; 2 kl + ku + 1 = r - 1, the widest banded
+    # band; and, factored dense, r at the cut-over and 2 kl + ku + 1 = r.
+    cases = [
+        (cut + 9, cut + 9, 3, 2),
+        (cut + 12, cut + 9, 0, 4),
+        (cut + 12, cut + 9, 5, 0),
+        (cut + 4, cut + 1, 2, 1),
+        (cut + 10, cut + 9, 9, 21),
+        (cut + 3, cut, 1, 1),
+        (cut + 9, cut + 9, 9, 22),
+    ]
+    statuses, systems = set(), []
+    for n, r, kl, ku in cases:
+        for kind in ("regular", "regular", "singular"):
+            c, b = _banded_routing(rng, n, kl, ku, diagonal=not unit_scales)
+            if not unit_scales:
+                c *= 10.0 ** rng.integers(0, 4, size=n)
+            inner = np.sort(rng.choice(np.arange(1, n - 1), size=r - 2, replace=False))
+            rows = np.concatenate([[0], inner, [n - 1]])
+            if kind == "singular":
+                _make_singular(rng, c, rows, min(kl, ku) if unit_scales else None)
+            a = _materialized(c, rows)
+            got = solve_reduced(_routes(c, rows), rows, b, (kl, ku), unit_scales)
+            dense = r <= cut or 2 * kl + ku + 1 >= r
+            want = solve_left(a, b[rows]) if dense else _band_reference(a, b[rows], kl, ku)
+            assert inputs[-2] == inputs[-1]
+            assert got.status is want.status
+            assert (got.x is None) == (want.x is None)
+            if want.x is not None:
+                assert got.x.tobytes() == want.x.tobytes()
+            statuses.add(want.status is SolveStatus.UNIQUE)
+            systems.append((c, rows, b, (kl, ku)))
+    assert statuses == {True, False}
+    assert len(banded) == 5 * 3
+    for c, rows, b, band in systems:
+        for bad in (np.nan, np.inf):
+            rhs = b.copy()
+            rhs[rows[-1]] = bad
+            with pytest.raises(ValueError, match="finite"):
+                solve_reduced(_routes(c, rows), rows, rhs, band, unit_scales)
 
 
 def _assert_same_bits(results, stacked):
@@ -471,24 +593,25 @@ def test_single_and_stacked_solves_agree_bit_for_bit():
     for n in (5, linalg.BAND_MIN_ROWS + 9):
         factors = 10.0 ** rng.integers(-30, 31, size=n)
         for kind in ("regular", "consistent", "inconsistent", "scaled"):
-            a, b = _banded_system(rng, n, 2, 1)
+            c, b = _banded_routing(rng, n, 2, 1)
             if kind in ("consistent", "inconsistent"):
-                a[:, 1] = 0.0
+                c[:, 1] = np.eye(n)[1]
                 b[1] = 0.0 if kind == "consistent" else 1.0
             elif kind == "scaled":
-                a, b = a * factors, b * factors
+                c, b = np.eye(n) - (np.eye(n) - c) * factors, b * factors
             subset = np.sort(rng.choice(n, size=n - 2, replace=False))
             for rows in (np.arange(n), subset, np.arange(0)):
-                sub, rhs = a[np.ix_(rows, rows)], b[rows]
-                results = [solve_reduced(a, rows, b), solve_left(sub, rhs)]
+                sub, rhs = _materialized(c, rows), b[rows]
+                results = [solve_reduced(_routes(c, rows), rows, b), solve_left(sub, rhs)]
                 _assert_same_bits(results, _solve_stack(sub[None], rhs[None])[0])
                 statuses.add(results[0].status)
     assert statuses == set(SolveStatus)
     for net in corpus(8, sizes=range(3, 7)) + small_networks(40):
-        _, systems, rhs = _census_systems(net)
+        stable, systems, rhs = _census_systems(net)
         every = np.arange(net.n)
-        for system, b, x in zip(systems, rhs, _solve_stack(systems, rhs)):
-            _assert_same_bits([solve_reduced(system, every, b), solve_left(system, b)], x)
+        for mask, system, b, x in zip(stable, systems, rhs, _solve_stack(systems, rhs)):
+            routes = _routes(np.where(mask[:, None], net.p, net.q), every)
+            _assert_same_bits([solve_reduced(routes, every, b), solve_left(system, b)], x)
 
 
 def test_spectral_radius_fixed_points():

@@ -47,7 +47,7 @@ from trafficflow import (
 from trafficflow import linalg
 from trafficflow.linalg import RADIUS_MARGIN, solve_reduced
 from trafficflow.network import classify_nodes
-from trafficflow.solvers import _goodman_massey_pass, _network_band, _pattern_system
+from trafficflow.solvers import _goodman_massey_pass, _network_band, _pattern_system, _routing
 
 
 def test_jackson_without_routing_returns_inputs():
@@ -269,7 +269,7 @@ def hard_networks(draw):
     if draw(st.booleans()):
         # Put some capacities within 1e-6 of the first pass's rates.
         try:
-            rates = _goodman_massey_pass(net, _network_band(net))[-1][0]
+            rates = _goodman_massey_pass(net, _routing(net))[-1][0]
         except TrafficFlowError:
             return net
         offsets = st.sampled_from([np.nan, -1e-6, 0.0, 1e-6])
@@ -309,9 +309,9 @@ def test_checked_overflow_settles_next_to_the_margin():
     np.testing.assert_allclose(solution.rates, verdict.solutions[0], rtol=1e-9, atol=0)
 
 
-def _dense_stable_set_loop(net, overloaded, budget, band):
+def _dense_stable_set_loop(net, overloaded, budget, routing):
     """Reference for ``_stable_set_loop``: each pass solves the full
-    pattern system with the dense kernel, ignoring ``band``."""
+    pattern system with the dense kernel, ignoring ``routing``."""
     overflow_mask = np.zeros((1, net.n), dtype=bool)
     overflow_mask[0, list(overloaded)] = True
     stable = frozenset()
@@ -377,8 +377,9 @@ def test_reduced_stable_set_loop_matches_dense_reference(monkeypatch):
     # dense pattern systems: the same sets and counts, rates within 1e-12.
     cases = [(net, {}) for net in corpus(40) + _cell_grids((2, 3, 5))]
     cases += [(gen_example2(n), {"best_effort": True}) for n in range(1, 41)]
-    banded = count_calls(monkeypatch, linalg, "_solve_banded")
+    banded = count_calls(monkeypatch, linalg, "_reduced_banded")
     got = [_solve_record(net, **kwargs) for net, kwargs in cases]
+    # The band-native path ran (the m = 5 grids and the longer chains).
     assert banded or linalg._LAPACK is None
     monkeypatch.setattr(trafficflow.solvers, "_stable_set_loop", _dense_stable_set_loop)
     for (net, kwargs), result in zip(cases, got):
@@ -405,29 +406,55 @@ def test_pattern_system_gathers_the_broadcast_rows_bit_for_bit():
         assert systems.tobytes() == (np.eye(net.n) - coeff).tobytes()
 
 
+def test_self_loop_grid_takes_the_equilibrated_band_path(monkeypatch):
+    # Cell grids of more than 32 nodes with self-loops in P or Q: their
+    # reduced systems have non-unit diagonals, so the banded steps compute
+    # column scales from the gathered band.  Same sets and counts as the
+    # dense reference, rates within 1e-12.
+    rng = np.random.default_rng(61)
+    nets = []
+    for grid in _cell_grids((3, 5)):
+        loops = np.diag(rng.random(grid.n) * (rng.random(grid.n) < 0.5))
+        nets.append(make_network(grid.alpha, grid.mu, grid.p * 0.5 + loops / 2, grid.q))
+        nets.append(make_network(grid.alpha, grid.mu, grid.p, grid.q * 0.5 + loops / 2))
+    assert all(net.n > linalg.BAND_MIN_ROWS and not _routing(net).unit_scales for net in nets)
+    banded = count_calls(monkeypatch, linalg, "_reduced_banded")
+    got = [_solve_record(net) for net in nets]
+    assert banded or linalg._LAPACK is None
+    assert sum(not isinstance(record, str) for record in got) >= len(nets) // 2
+    monkeypatch.setattr(trafficflow.solvers, "_stable_set_loop", _dense_stable_set_loop)
+    for net, result in zip(nets, got):
+        _assert_same_solve(result, _solve_record(net))
+
+
 @settings(max_examples=100)
 @given(hard_networks())
 def test_network_band_bounds_every_reduced_system(net):
     # Every reduced system the stable-set loop hands solve_reduced is
     # nonzero off its diagonal only within the band it states, the
-    # network's.  These networks are small, so the band is stated from 1
-    # node on.
+    # network's, and its routes end in the zero row that out-of-band slots
+    # read.  These networks are small, so the band is stated from 1 node
+    # on.
     systems = []
 
-    def recording(system, rows, b, band=None):
-        systems.append((system[np.ix_(rows, rows)], band))
-        return solve_reduced(system, rows, b, band)
+    def recording(routes, rows, b, band=None, unit_scales=False):
+        assert not routes[-1].any()
+        systems.append((routes[:-1][:, rows], band))
+        return solve_reduced(routes, rows, b, band, unit_scales)
 
     with mock.patch.object(trafficflow.solvers, "BAND_MIN_ROWS", 0):
         with mock.patch.object(trafficflow.solvers, "solve_reduced", recording):
             try:
                 solve_overflow(net, best_effort=True, delegate_zero_overflow=False)
+            except IsolatedClassError:
+                return
             except TrafficFlowError:
                 pass
         kl, ku = _network_band(net)
-    for a, band in systems:
+    assert systems
+    for c, band in systems:
         assert band == (kl, ku)
-        i, j = np.nonzero(a - np.diag(np.diag(a)))
+        i, j = np.nonzero(c - np.diag(np.diag(c)))
         assert np.all(j - i <= kl) and np.all(i - j <= ku)
 
 

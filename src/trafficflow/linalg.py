@@ -321,6 +321,7 @@ def _reduced_system(routes: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _reduced_dense(routes, rows, b, unit_scales):
     """The dense kernel on ``I - C_RR``, gathered into its buffer."""
     buf, lu, x = _dense_buffer(len(b))
+    # Every index is in range; "clip" only lets take write to out unbuffered.
     routes[:-1].take(rows, 1, out=lu, mode="clip")
     _identity_minus(lu, lu.reshape(-1)[:: len(b) + 1])
     if unit_scales:

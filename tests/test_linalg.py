@@ -401,6 +401,26 @@ def _banded_routing(rng, n, kl, ku, diagonal=True):
     return c, rng.standard_normal(n)
 
 
+def _eighths_on_diagonal(c):
+    """Round C's diagonal down to multiples of 1/8, in place, so that
+    ``_scaled`` can scale it; rows still sum to less than 1."""
+    np.fill_diagonal(c, np.floor(8 * c.diagonal()) / 8)
+
+
+def _scaled(c, factors):
+    """The routing matrix C' with ``I - C' = (I - C) * factors`` bit for
+    bit, for a C whose diagonal holds multiples of 1/8 in [0, 1] and
+    factors that are powers of two from 2**-50 up: each diagonal entry d
+    of ``(I - C) * factors`` is then 0 or a multiple of 2**-53, and
+    ``1 - (1 - d)`` gives d back.  It would not for, say, d = 1e-30:
+    ``1 - d`` rounds to 1, so no C' gives that system."""
+    n = len(c)
+    want = (np.eye(n) - c) * factors
+    scaled = np.eye(n) - want
+    assert (np.eye(n) - scaled).tobytes() == want.tobytes()
+    return scaled
+
+
 def _assert_agree(got, want):
     """Both unique with x within 1e-12 relative, or both singular."""
     assert (got.status is SolveStatus.UNIQUE) == (want.status is SolveStatus.UNIQUE)
@@ -414,17 +434,19 @@ def test_banded_and_dense_kernels_agree(monkeypatch):
     # dense kernel's status and x within 1e-12 relative, on regular
     # systems, systems singular to the pivot test (a zero column with a
     # consistent or an inconsistent rhs, or a zero row) and copies with
-    # their columns and rhs scaled by up to 1e30.
+    # their columns and rhs scaled by 2**-50 to 2**99 (about 1e-15 to
+    # 1e30), compared with the unscaled system.
     banded = count_calls(monkeypatch, linalg, "_reduced_banded")
     rng = np.random.default_rng(29)
     n = linalg.BAND_MIN_ROWS + 9
     every = np.arange(n)
-    factors = 10.0 ** rng.integers(-30, 31, size=n)
+    factors = 2.0 ** rng.integers(-50, 100, size=n)
     bands = [(0, 0), (1, 0), (0, 1), (1, 1), (4, 2), (2, 7), (9, 3)]
     statuses = set()
     for kl, ku in bands:
         for kind in ("regular", "regular", "consistent", "inconsistent", "zero row"):
             c, b = _banded_routing(rng, n, kl, ku)
+            _eighths_on_diagonal(c)
             j = int(rng.integers(n))
             if kind == "zero row":
                 c[j] = np.eye(n)[j]
@@ -437,9 +459,8 @@ def test_banded_and_dense_kernels_agree(monkeypatch):
             _assert_agree(got, want)
             # Scaling can move a singular system's consistency verdict (its
             # residual test is absolute) but not its pivot test.
-            scaled = np.eye(n) - (np.eye(n) - c) * factors
-            got = solve_reduced(_routes(scaled, every), every, b * factors, (kl, ku))
-            _assert_agree(got, solve_left(np.eye(n) - scaled, b * factors))
+            scaled = _scaled(c, factors)
+            _assert_agree(solve_reduced(_routes(scaled, every), every, b * factors, (kl, ku)), want)
             statuses.add(want.status)
         # Reduced systems, as the stable-set loop gathers them: still
         # above the cut-over, and within the band of the whole.
@@ -584,21 +605,22 @@ def _assert_same_bits(results, stacked):
 def test_single_and_stacked_solves_agree_bit_for_bit():
     # solve_reduced, solve_left and a stack of one through _solve_stack,
     # with no band: on banded systems of both sides of the cut-over
-    # (regular, singular, and with columns scaled by up to 1e30), whole,
+    # (regular, singular, and with columns scaled by 2**-50 to 2**99), whole,
     # reduced and with no rows, and on every census pattern of small
     # networks.  Banded factors add and multiply in another order, so
     # test_banded_and_dense_kernels_agree holds them to 1e-12 instead.
     rng = np.random.default_rng(41)
     statuses = set()
     for n in (5, linalg.BAND_MIN_ROWS + 9):
-        factors = 10.0 ** rng.integers(-30, 31, size=n)
+        factors = 2.0 ** rng.integers(-50, 100, size=n)
         for kind in ("regular", "consistent", "inconsistent", "scaled"):
             c, b = _banded_routing(rng, n, 2, 1)
             if kind in ("consistent", "inconsistent"):
                 c[:, 1] = np.eye(n)[1]
                 b[1] = 0.0 if kind == "consistent" else 1.0
             elif kind == "scaled":
-                c, b = np.eye(n) - (np.eye(n) - c) * factors, b * factors
+                _eighths_on_diagonal(c)
+                c, b = _scaled(c, factors), b * factors
             subset = np.sort(rng.choice(n, size=n - 2, replace=False))
             for rows in (np.arange(n), subset, np.arange(0)):
                 sub, rhs = _materialized(c, rows), b[rows]

@@ -11,10 +11,13 @@ transposed system, from the OpenBLAS that numpy's wheel bundles
 SciPy is never imported.  Where that library is missing, the pure-Python
 elimination ``_eliminate`` is the kernel; the import decides which, once.
 ``solve_left`` solves one system given as an array.  ``solve_reduced``
-solves ``x_R (I - C_RR) = b_R`` given the rows C_R, forming the system in
-the kernel's buffer: a banded one as its band alone, with no r x r array,
-and with no equilibration when the caller states that every column scale
-is 1.  The census solves a stack of pattern systems with
+solves ``x_R (I - C_RR) = b_R`` given the rows R of ``I - C``, gathering
+the system with one ``take`` into a ``Workspace`` that the caller reuses
+for every system of a solve: a banded one as its band alone, with no
+r x r array, and with no equilibration when the caller states that every
+column scale is 1.  Its pivot and finiteness tests are one reduction and
+one count, and it checks the rhs only when the solution is not finite.
+The census solves a stack of pattern systems with
 ``_solve_stack``.  A stack whose every system has a unit diagonal and
 rows of off-diagonal absolute sum below ``1 - 2 PIVOT_TOL`` needs neither
 equilibration (every row scale is 1) nor the pivot test (no pivot falls
@@ -122,8 +125,10 @@ def _eliminate(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _regular(diagonal: np.ndarray):
     """The pivot test on the diagonal of U, along the last axis, which
-    the LAPACK kernels leave in place: every ``|U_kk| > PIVOT_TOL``."""
-    return np.abs(diagonal).min(axis=-1) > PIVOT_TOL
+    the LAPACK kernels leave in place: every ``|U_kk| > PIVOT_TOL``.  It
+    overwrites the diagonal, a view of factors no caller reads again,
+    with its absolute values."""
+    return np.minimum.reduce(np.abs(diagonal, out=diagonal), axis=-1) > PIVOT_TOL
 
 
 def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,9 +141,9 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray
     relative pivot test.  Returns the solutions, with a row of NaN for
     each singular slice.  The calls go slice by slice so that each U
     diagonal stays readable for that test; ``_solve_stack`` hands this
-    kernel only the stacks ``_dominant`` does not certify.  Unlike
-    ``_dense_buffer`` it keeps three arrays: one buffer per census chunk
-    raised the census's peak memory 0.1 MB.
+    kernel only the stacks ``_dominant`` does not certify.  Unlike a
+    single solve it keeps three arrays, not a ``Workspace``: one buffer
+    per census chunk raised the census's peak memory 0.1 MB.
     """
     k, n = b.shape
     # C order, so LAPACK's column-major view of each slice is D^-1 a[i].T.
@@ -155,65 +160,119 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray
     return x
 
 
-def _dense_buffer(n: int):
-    """One ``dgesv`` buffer for an order-n system, so one address lookup:
-    n, nrhs = 1, info, the row interchanges, the matrix in column-major
-    order, then the rhs.  Returns it with views of the matrix, as the rows
-    of its transpose, and of the rhs."""
-    head = 3 + n
-    buf = np.empty(head + n * (n + 1))
-    buf[:3].view(np.int64)[:] = n, 1, 0
-    return buf, buf[head : head + n * n].reshape(n, n), buf[head + n * n :]
+class Workspace:
+    """The LAPACK buffers of one solve, reused by each system it hands
+    ``solve_reduced``, with the solve's statements about those systems.
+
+    ``n`` is the number of columns of every ``routes`` and bounds the
+    order of every system; ``band`` and ``unit_scales`` are the statements
+    that ``solve_reduced`` describes.  ``ints`` is the header that
+    ``dgesv`` and ``dgbsv`` read: the order, nrhs = 1, info, kl, ku and the
+    band storage's leading dimension ``width = 2 kl + ku + 1``, then the
+    row interchanges.  ``floats`` holds the rhs in its first n entries,
+    then kl columns of band storage that stay zero, then the matrix from
+    ``start`` on: column-major, or in band storage, where row c is column
+    c of the matrix M, kl entries for fill-in (which LAPACK sets itself),
+    then entry kl + t is ``M[c - ku + t, c]``.  ``floats`` grows to the
+    largest system; the call arguments, raw addresses, and the views of
+    each order are made once for each buffer, so only the order in the
+    header changes from one system to the next.
+    """
+
+    __slots__ = (
+        "band", "unit_scales", "dense_rows", "width", "start", "ints", "floats",
+        "gesv", "gbsv", "cols", "sentinel", "windows", "offsets", "scales", "_views",
+    )  # fmt: skip
+
+    def __init__(self, n: int, band: tuple[int, int] | None = None, unit_scales: bool = False):
+        kl, ku = band or (0, 0)
+        self.band, self.unit_scales = band, unit_scales
+        self.width = 2 * kl + ku + 1
+        # Systems of more rows than this are factored banded.
+        self.dense_rows = n if band is None else max(BAND_MIN_ROWS, self.width)
+        self.start = n + kl * self.width
+        self.ints = np.empty(6 + n, dtype=np.int64)
+        self.ints[:6] = n, 1, 0, kl, ku, self.width
+        self.floats = np.empty(0)
+        self._views: dict = {}
+        if band is not None:
+            w = kl + ku + 1
+            # Column indices into routes for the band gather: rows[j] at
+            # ku + j, and past the end of any routes elsewhere.
+            self.sentinel = (n + 1) * n
+            self.cols = np.full(n + w - 1, self.sentinel)
+            self.windows = _windows(self.cols, w)
+            self.offsets = np.arange(0, n * n, n)[:, None]
+            # Column scales at ku + j; the others divide only zero slots.
+            self.scales = np.ones(n + w - 1)
+
+    def views(self, r: int):
+        """The rhs, the matrix and U's diagonal of an order-r system, as
+        views of ``floats``: the matrix as the rows of its transpose when
+        dense, as band storage of shape (r, width) when banded (above
+        ``dense_rows`` rows), and then followed by ku zero columns that
+        equilibration reads."""
+        views = self._views.get(r)
+        if views is None:
+            kl, ku = self.band or (0, 0)
+            s, banded = self.start, r > self.dense_rows
+            size = s + ((r + ku) * self.width if banded else r * r)
+            if len(self.floats) < size:
+                self.floats = np.zeros(size)
+                f, p = self.floats.ctypes.data, self.ints.ctypes.data
+                a = f + 8 * s
+                self.gesv = (p, p + 8, a, p, p + 48, f, p, p + 16)
+                self.gbsv = (p, p + 24, p + 32, p + 8, a, p + 40, p + 48, f, p, p + 16)
+                self._views.clear()
+            f = self.floats
+            if banded:
+                m = f[s : s + r * self.width].reshape(r, self.width)
+                views = f[:r], m, m[:, kl + ku]
+            else:
+                views = f[:r], f[s : s + r * r].reshape(r, r), f[s : s + r * r : r + 1]
+            self._views[r] = views
+        return views
 
 
-def _gesv(buf: np.ndarray, lu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Run ``dgesv`` on a filled ``_dense_buffer``: the solution, or NaN
-    where ``_regular`` fails."""
-    n = len(x)
-    p = buf.ctypes.data
-    lu_at = p + 8 * (3 + n)
-    _LAPACK[0](p, p + 8, lu_at, p, p + 24, lu_at + 8 * n * n, p, p + 16)
-    # A copy, so that the factors are freed on return.
-    return x.copy() if _regular(lu.reshape(-1)[:: n + 1]) else np.full(n, np.nan)
+def _gesv(ws: Workspace, r: int) -> np.ndarray | None:
+    """Run ``dgesv`` on the order-r system filled into ``ws``: a copy of
+    the solution, or None where ``_regular`` fails."""
+    x, _, diagonal = ws.views(r)
+    ws.ints[0] = r
+    _LAPACK[0](*ws.gesv)
+    return x.copy() if _regular(diagonal) else None
 
 
-def _band_buffer(n: int, kl: int, ku: int):
-    """The ``dgbsv`` counterpart of ``_dense_buffer``, zeroed: n, kl, ku,
-    the leading dimension 2 kl + ku + 1, nrhs = 1, info, the row
-    interchanges, the band storage, then the rhs.  Row c of the band
-    storage is column c of the matrix M: kl entries for fill-in, then entry
-    kl + t is ``M[c - ku + t, c]``.  Returns it with views of the band
-    storage and of the rhs."""
-    width = 2 * kl + ku + 1
-    head = 6 + n
-    buf = np.zeros(head + n * (width + 1))
-    buf[:6].view(np.int64)[:] = n, kl, ku, width, 1, 0
-    return buf, buf[head : head + n * width].reshape(n, width), buf[head + n * width :]
-
-
-def _gbsv(buf: np.ndarray, ab: np.ndarray, x: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """Run ``dgbsv`` on a filled ``_band_buffer``: the solution, or NaN
-    where ``_regular`` fails on the band row that holds U's diagonal.  Row
-    partial pivoting within the band picks the dense pivots, since every
-    candidate outside it is 0, so this is the dense pivot test."""
-    n, width = ab.shape
-    p = buf.ctypes.data
-    ab_at = p + 8 * (6 + n)
-    _LAPACK[1](p, p + 8, p + 16, p + 32, ab_at, p + 24, p + 48, ab_at + 8 * n * width, p, p + 40)
-    return x.copy() if _regular(ab[:, kl + ku]) else np.full(n, np.nan)
+def _gbsv(ws: Workspace, r: int) -> np.ndarray | None:
+    """Run ``dgbsv`` on the band storage filled into ``ws``: a copy of the
+    solution, or None where ``_regular`` fails on the band row that holds
+    U's diagonal.  Row partial pivoting within the band picks the dense
+    pivots, since every candidate outside it is 0, so this is the dense
+    pivot test."""
+    x, _, diagonal = ws.views(r)
+    ws.ints[0] = r
+    _LAPACK[1](*ws.gbsv)
+    return x.copy() if _regular(diagonal) else None
 
 
 #: The kernel behind every solve, chosen once at import.
 _kernel = _eliminate if _LAPACK is None else _solve_lapack
 
 
+def _positive(scale: np.ndarray) -> np.ndarray:
+    """Row scales with 1 for a zero row, which changes no pivot; a
+    non-finite scale raises ValueError."""
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix and rhs must be finite")
+    return np.where(scale > 0, scale, 1.0)
+
+
 def _row_scales(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The row scales of ``a.T`` (of each ``a[i].T`` in a stack), 1 for a
     zero row, which changes no pivot; non-finite input raises ValueError."""
-    scale = np.abs(a).max(axis=-2)
-    if not (np.isfinite(scale).all() and np.isfinite(b).all()):
+    if not np.isfinite(b).all():
         raise ValueError("matrix and rhs must be finite")
-    return np.where(scale > 0, scale, 1.0)
+    return _positive(np.abs(a).max(axis=-2))
 
 
 def _dominant(a: np.ndarray, b: np.ndarray) -> bool:
@@ -270,6 +329,12 @@ def _solve_singular(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
     return LinearSolveResult(status=SolveStatus.SINGULAR_CONSISTENT, x=candidate)
 
 
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite.  On the short vectors of a
+    stable-set step ``count_nonzero`` costs less than a reduction."""
+    return np.count_nonzero(np.isfinite(x)) == len(x)
+
+
 def _solve(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
     """One system ``x @ a = b``, dense, with the bits of a stack of one
     through ``_solve_stack`` but no stack axis.  ``_solve_singular``
@@ -277,13 +342,15 @@ def _solve(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
     if len(b) == 0 or _kernel is not _solve_lapack:
         x = _solve_stack(a[None], b[None])[0]
     else:
+        n = len(b)
         scale = _row_scales(a, b)
-        buf, lu, x = _dense_buffer(len(b))
+        ws = Workspace(n)
+        rhs, m, _ = ws.views(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(a, scale, out=lu)
-            np.divide(b, scale, out=x)
-        x = _gesv(buf, lu, x)
-    if np.isfinite(x).all():
+            np.divide(a, scale, out=m)
+            np.divide(b, scale, out=rhs)
+        x = _gesv(ws, n)
+    if x is not None and _finite(x):
         return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
     return _solve_singular(a, b)
 
@@ -305,33 +372,20 @@ def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     return _solve(a, b)
 
 
-def _identity_minus(m: np.ndarray, diagonal: np.ndarray) -> None:
-    """Overwrite m with ``I - m``, given the view ``diagonal`` of m that I
-    covers, by the IEEE operations of ``np.eye(n) - m``: ``0 - c`` is
-    exact, so ``1 + (0 - c)`` is ``1 - c``."""
-    np.subtract(0.0, m, out=m)
-    diagonal += 1.0
-
-
-def _reduced_system(routes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``I - C_RR`` as an array, from ``solve_reduced``'s arguments."""
-    return np.eye(len(rows)) - routes[:-1].take(rows, 1)
-
-
-def _reduced_dense(routes, rows, b, unit_scales):
-    """The dense kernel on ``I - C_RR``, gathered into its buffer."""
-    buf, lu, x = _dense_buffer(len(b))
+def _reduced_dense(routes, rows, b, ws: Workspace):
+    """The dense kernel on ``I - C_RR``, gathered into ``ws``."""
+    r = len(rows)
+    x, m, _ = ws.views(r)
     # Every index is in range; "clip" only lets take write to out unbuffered.
-    routes[:-1].take(rows, 1, out=lu, mode="clip")
-    _identity_minus(lu, lu.reshape(-1)[:: len(b) + 1])
-    if unit_scales:
-        x[:] = b
-    else:
-        scale = _row_scales(lu, b)
+    b.take(rows, out=x, mode="clip")
+    routes[:-1].take(rows, 1, out=m, mode="clip")
+    if not ws.unit_scales:
+        # The column maxima of I - C_RR are the row scales of its transpose.
+        scale = _positive(np.maximum.reduce(np.abs(m), axis=0))
         with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(lu, scale, out=lu)
-            np.divide(b, scale, out=x)
-    return _gesv(buf, lu, x)
+            np.divide(m, scale, out=m)
+            np.divide(x, scale, out=x)
+    return _gesv(ws, r)
 
 
 def _windows(v: np.ndarray, w: int) -> np.ndarray:
@@ -341,76 +395,76 @@ def _windows(v: np.ndarray, w: int) -> np.ndarray:
     return np.ndarray((len(v) - w + 1, w), v.dtype, v, strides=2 * v.strides)
 
 
-def _reduced_banded(routes, rows, b, kl, ku, unit_scales):
+def _reduced_banded(routes, rows, b, ws: Workspace):
     """The banded kernel on ``I - C_RR``, whose band is gathered straight
     from ``routes`` into band storage: no r x r system is built."""
-    r, n = len(b), routes.shape[1]
+    r, s, width = len(rows), ws.start, ws.width
+    kl, ku = ws.band
     w = kl + ku + 1
-    buf, ab, x = _band_buffer(r, kl, ku)
+    x, ab, _ = ws.views(r)
+    b.take(rows, out=x, mode="clip")
+    band = ab[:, kl:]
     # Slot [c, t] is (I - C_RR)[c, j] for j = c - ku + t, at the flat index
     # c n + rows[j] of routes.  A j outside the system indexes past the
     # end, which "clip" maps to the last entry, in the zero row.
-    cols = np.full(r + w - 1, routes.size)
+    cols = ws.cols
     cols[ku : ku + r] = rows
-    index = np.arange(0, r * n, n)[:, None] + _windows(cols, w)
-    if unit_scales:
-        band = ab[:, kl:]
-    else:
-        # With kl zero rows above the band and ku below it.
-        padded = np.zeros((r + w - 1, w))
-        band = padded[kl : kl + r]
-    np.take(routes, index, out=band, mode="clip")
-    _identity_minus(band, band[:, ku])
-    if unit_scales:
-        x[:] = b
-    else:
+    cols[ku + r : r + w - 1] = ws.sentinel
+    np.take(routes, ws.offsets[:r] + ws.windows[:r], out=band, mode="clip")
+    if not ws.unit_scales:
         # Column j of the system, the slots [c, j - c + ku] for c = j - kl
-        # ... j + ku, is one strided row of ``columns``.
-        columns = np.ndarray((r, w), float, padded, 8 * (w - 1), (8 * w, 8 * (w - 1)))
-        scale = _row_scales(columns.T, b)
-        ones = np.ones(r + w - 1)
-        ones[ku : ku + r] = scale
+        # ... j + ku, is one strided row of ``columns``.  Its slots for
+        # c < 0 and c >= r lie in the zero columns before and after the
+        # band: kl of them that nothing writes, and ku cleared here.
+        floats = ws.floats
+        floats[s + r * width : s + (r + ku) * width] = 0.0
+        at = 8 * (s - kl * width + width - 1)
+        columns = np.ndarray((r, w), float, floats, at, (8 * width, 8 * (width - 1)))
+        scale = _positive(np.maximum.reduce(np.abs(columns), axis=1))
+        # Slot [c, t] is divided by the scale of column j at ws.scales[c + t];
+        # those outside the system divide a zero by a positive scale.
+        ws.scales[ku : ku + r] = scale
         with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(band, _windows(ones, w), out=ab[:, kl:])
-            np.divide(b, scale, out=x)
-    return _gbsv(buf, ab, x, kl, ku)
+            np.divide(band, _windows(ws.scales, w)[:r], out=band)
+            np.divide(x, scale, out=x)
+    return _gbsv(ws, r)
 
 
 def solve_reduced(
-    routes: np.ndarray,
-    rows: np.ndarray,
-    b: np.ndarray,
-    band: tuple[int, int] | None = None,
-    unit_scales: bool = False,
+    routes: np.ndarray, rows: np.ndarray, b: np.ndarray, workspace: Workspace
 ) -> LinearSolveResult:
     """``solve_left`` of ``x_R @ (I - C_RR) = b[R]`` for the ascending
     indices R = ``rows`` of ``b`` (n) and of an n x n matrix C, given as
-    ``routes``: C's rows R, then one row of zeros.  No row gives the empty
-    solution.  The system is formed in the kernel's buffer by the IEEE
-    operations of ``np.eye(n) - C``.
+    ``routes``: the rows R of ``I - C``, then one row of zeros.  No row
+    gives the empty solution.  The system is gathered into
+    ``workspace``, which the caller passes from one system to the next;
+    the solution is a copy.
 
-    ``band``, given as ``(kl, ku)``, is the caller's statement that C is
-    nonzero off its diagonal only at ``[i, j]`` with ``-ku <= j - i <=
-    kl``; so is ``C_RR``, whose rows and columns keep their order.  A
-    system of more than BAND_MIN_ROWS rows with ``2 kl + ku + 1`` below
-    its order is then factored banded, ignoring entries outside the band.
-    ``unit_scales`` states that C has a zero diagonal and entries in
-    [0, 1]: every column scale of ``I - C_RR`` is then exactly 1, so
-    equilibration is skipped and only the rhs is checked for finiteness.
+    ``workspace.band``, given as ``(kl, ku)``, is the caller's statement
+    that C is nonzero off its diagonal only at ``[i, j]`` with
+    ``-ku <= j - i <= kl``; so is ``C_RR``, whose rows and columns keep
+    their order.  A system of more than BAND_MIN_ROWS rows with
+    ``2 kl + ku + 1`` below its order is then factored banded, ignoring
+    entries outside the band.  ``workspace.unit_scales`` states that
+    ``I - C`` has a unit diagonal and off-diagonal entries in [-1, 0]:
+    every column scale of ``I - C_RR`` is then exactly 1, so
+    equilibration is skipped.  A non-finite rhs entry always reaches the
+    solution, so the rhs is checked only when the solution is not finite;
+    non-finite input raises ValueError.
     """
     r = len(rows)
-    b = b.take(rows)
     if r == 0 or _kernel is not _solve_lapack:
-        return _solve(_reduced_system(routes, rows), b)
-    if unit_scales and not np.isfinite(b).all():
-        raise ValueError("matrix and rhs must be finite")
-    if band is not None and r > BAND_MIN_ROWS and 2 * band[0] + band[1] + 1 < r:
-        x = _reduced_banded(routes, rows, b, *band, unit_scales)
+        return _solve(routes[:-1].take(rows, 1), b.take(rows))
+    if r > workspace.dense_rows:
+        x = _reduced_banded(routes, rows, b, workspace)
     else:
-        x = _reduced_dense(routes, rows, b, unit_scales)
-    if np.isfinite(x).all():
+        x = _reduced_dense(routes, rows, b, workspace)
+    if x is not None and _finite(x):
         return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
-    return _solve_singular(_reduced_system(routes, rows), b)
+    b = b.take(rows)
+    if not np.isfinite(b).all():
+        raise ValueError("matrix and rhs must be finite")
+    return _solve_singular(routes[:-1].take(rows, 1), b)
 
 
 def neumann_values(m: np.ndarray) -> np.ndarray | None:

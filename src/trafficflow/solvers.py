@@ -4,10 +4,13 @@ Three solvers share one convention: rates are row vectors, node i is
 overloaded when its rate reaches capacity (within a small margin), and
 every linear step is one LAPACK call from scratch, with no warm starting
 and no factors carried between steps, so iteration counts are exactly
-reproducible.  A step of the stable-set iteration gathers the
-coefficient rows of its stable and overloaded nodes, the others being
-identity rows, from ``[P; Q]``, stacked once per solve, and hands them
-to ``solve_reduced`` with the network's band; the census gathers the full
+reproducible.  A step of the stable-set iteration gathers the rows of
+its stable and overloaded nodes, the others being identity rows, from
+``[I - P; I - Q; 0]``, stacked once per solve, and hands them to
+``solve_reduced`` with the solve's one ``Workspace``, which holds the
+network's band and the LAPACK buffers; a step classifies its rates once,
+into the next stable set, and the trace and the outer loop classify the
+rates they keep with ``classify_nodes``.  The census gathers the full
 pattern systems of a chunk of patterns by row and solves them dense with
 one ``_solve_stack`` call, a single stacked ``dgesv`` call when every
 system of the chunk is diagonally dominant.
@@ -31,7 +34,7 @@ from .errors import (
     SingularInnerSystemError,
     SpectralRadiusAtLeastOneError,
 )
-from .linalg import BAND_MIN_ROWS, RADIUS_MARGIN, SolveStatus, neumann_values
+from .linalg import BAND_MIN_ROWS, RADIUS_MARGIN, SolveStatus, Workspace, neumann_values
 from .linalg import solve_left, solve_reduced, spectral_radius
 from .linalg import _solve_singular, _solve_stack
 from .network import STABILITY_MARGIN, Equation, Network, TrafficSolution, _frozen
@@ -116,12 +119,12 @@ def _network_band(net: Network) -> tuple[int, int] | None:
 
 class _Routing(NamedTuple):
     """What every stable-set pass of one solve shares: ``source``, the
-    rows of P, then those of Q, then a row of zeros, (2n + 1) x n; the
-    network band; and whether equilibration is the identity."""
+    rows of I - P, then those of I - Q, then a row of zeros, (2n + 1) x n;
+    and the LAPACK ``workspace`` of its steps, which holds the network
+    band and whether equilibration is the identity."""
 
     source: np.ndarray
-    band: tuple[int, int] | None
-    unit_scales: bool
+    workspace: Workspace
 
 
 def _routing(net: Network) -> _Routing:
@@ -129,10 +132,11 @@ def _routing(net: Network) -> _Routing:
     diagonals in P and Q and every entry in [0, 1], each reduced system
     ``I - C_RR`` has a unit diagonal and no larger entry, so every column
     scale is exactly 1."""
-    source = np.concatenate([net.p, net.q, np.zeros((1, net.n))])
-    loops = net.p.diagonal().any() or net.q.diagonal().any()
-    in_unit = np.min(source, initial=0.0) >= 0.0 and np.max(source, initial=0.0) <= 1.0
-    return _Routing(source, _network_band(net), bool(not loops and in_unit))
+    n, p, q = net.n, net.p, net.q
+    source = np.concatenate([np.eye(n) - p, np.eye(n) - q, np.zeros((1, n))])
+    loops = p.diagonal().any() or q.diagonal().any()
+    in_unit = all(m.min() >= 0.0 and m.max() <= 1.0 for m in (p, q))
+    return _Routing(source, Workspace(n, _network_band(net), bool(not loops and in_unit)))
 
 
 def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int, routing: _Routing):
@@ -142,52 +146,64 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int, rout
     system with the current stable set and linear overflow rows for
     ``overloaded``, then re-derives the stable set among the other nodes
     from the result, until the set stops changing.  Returns one
-    (rates, stable, unstable) triple per linear solve, where ``unstable``
-    holds every node at or above capacity (within the margin, as in
-    ``classify_nodes``), or None when ``budget`` solves do not settle the
-    set.  With an empty overloaded set this is the Goodman-Massey
-    iteration.
+    (rates, stable) pair per linear solve, or None when ``budget`` solves
+    do not settle the set.  A node is stable when it is not overloaded
+    and its rate is below capacity by more than the margin, as in
+    ``classify_nodes``.  With an empty overloaded set this is the
+    Goodman-Massey iteration.
 
     Only the rows R = stable | overloaded of the pattern system are not
-    identity rows.  Each pass gathers their coefficient rows C_R from
+    identity rows.  Each step gathers their rows ``(I - C)_R`` from
     ``routing.source``, solves ``x_R (I - C_RR) = b_R`` with one
     ``solve_reduced`` call (no rows when R is empty) and gets the other
-    rates from ``x = b + x_R @ C_R``.  The pattern system is block
+    rates from ``x = b - x_R @ (I - C)_R``, whose entries outside R are
+    those of ``b + x_R @ C_R``, exactly.  The pattern system is block
     triangular, so it is singular exactly when the reduced one is.
     """
     n = net.n
-    overflow = np.zeros(n, dtype=bool)
-    overflow[list(overloaded)] = True
-    outflow = np.where(overflow, net.mu, 0.0) @ net.q
+    alpha, mu, p = net.alpha, net.mu, net.p
+    source, workspace = routing
+    overloaded_rows = list(overloaded)
+    free = np.ones(n, dtype=bool)
+    free[overloaded_rows] = False
+    overflow = ~free
+    outflow = np.where(overflow, mu, 0.0) @ net.q
     # The stable set never meets the overloaded one, so row i of every
-    # pass's coefficient matrix is Q's for an overloaded i and P's for a
-    # stable one: source row i + n for the one, i for the other.  The last
-    # entries select the zero row that solve_reduced takes after C_R.
-    source_rows = np.append(np.arange(n) + n * overflow, 2 * n)
-    selected = np.append(overflow, True)
-    threshold = net.mu - STABILITY_MARGIN
+    # pass's coefficient matrix is I - Q's for an overloaded i and I - P's
+    # for a stable one: source row i + n for the one, i for the other.  The
+    # last entries select the zero row that solve_reduced takes after them.
+    source_rows = np.arange(n + 1)
+    source_rows[overloaded_rows] += n
+    source_rows[n] = 2 * n
+    selected = np.ones(n + 1, dtype=bool)
+    head = selected[:n]
+    threshold = mu - STABILITY_MARGIN
     stable_mask = np.zeros(n, dtype=bool)
     stable: frozenset[int] = frozenset()
     solves = []
     for _ in range(budget):
         # _pattern_system's rhs for this one pattern, with the same bits.
-        b = net.alpha + np.where(stable_mask, 0.0, net.mu) @ net.p - outflow
-        np.logical_or(stable_mask, overflow, out=selected[:n])
+        b = np.where(stable_mask, 0.0, mu) @ p
+        np.add(alpha, b, out=b)
+        np.subtract(b, outflow, out=b)
+        np.logical_or(stable_mask, overflow, out=head)
         picked = selected.nonzero()[0]
         rows = picked[:-1]
-        routes = routing.source.take(source_rows.take(picked), 0)
-        result = solve_reduced(routes, rows, b, routing.band, routing.unit_scales)
+        routes = source.take(source_rows.take(picked), 0)
+        result = solve_reduced(routes, rows, b, workspace)
         if result.status is not SolveStatus.UNIQUE:
             raise SingularInnerSystemError(
                 f"inner system is {result.status.value} for stable rows "
                 f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
             )
-        x = b + result.x @ routes[:-1]
+        x = result.x @ routes[:-1]
+        np.subtract(b, x, out=x)
         x[rows] = result.x
-        unstable = x >= threshold
-        stable_mask = ~(unstable | overflow)
+        # Free and not at capacity; a NaN rate counts as stable, as in
+        # classify_nodes.
+        stable_mask = free > (x >= threshold)
         new_stable = frozenset(stable_mask.nonzero()[0].tolist())
-        solves.append((x, new_stable, frozenset(unstable.nonzero()[0].tolist())))
+        solves.append((x, new_stable))
         if new_stable == stable:
             return solves
         stable = new_stable
@@ -197,18 +213,20 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int, rout
 def _goodman_massey_pass(net: Network, routing: _Routing):
     """The Goodman-Massey iteration: at most one linear solve per node
     plus a confirming solve (n + 2 allowed), given ``_routing(net)``.
-    Returns the loop's triples."""
+    Returns the loop's pairs."""
     solves = _stable_set_loop(net, frozenset(), net.n + 2, routing)
     if solves is None:
         raise NonConvergenceError("stable-set iteration failed to settle")
     return solves
 
 
-def _goodman_massey_trace(solves) -> SolveTrace:
+def _goodman_massey_trace(net: Network, solves) -> SolveTrace:
     """Label a Goodman-Massey pass: one outer iteration per solve."""
     steps = tuple(
-        TraceStep(outer=k, inner=1, rates=rates, stable=stable, unstable=unstable)
-        for k, (rates, stable, unstable) in enumerate(solves, 1)
+        TraceStep(
+            outer=k, inner=1, rates=rates, stable=stable, unstable=classify_nodes(rates, net.mu)[1]
+        )
+        for k, (rates, stable) in enumerate(solves, 1)
     )
     return SolveTrace(
         outer_iterations=len(steps), inner_iterations_total=len(steps), history=steps
@@ -257,7 +275,7 @@ def solve_goodman_massey(net: Network) -> tuple[TrafficSolution, SolveTrace]:
         raise IsolatedClassError(isolated)
     solves = _goodman_massey_pass(net, _routing(net))
     solution = _solution(net, solves[-1][0], Equation.GOODMAN_MASSEY)
-    return solution, _goodman_massey_trace(solves)
+    return solution, _goodman_massey_trace(net, solves)
 
 
 def solve_overflow(
@@ -291,12 +309,12 @@ def solve_overflow(
     routing = _routing(net)
     solves = _goodman_massey_pass(net, routing)
     if not best_effort:
-        verdict = check_overflow_condition(net, solves[-1][2])
+        verdict = check_overflow_condition(net, classify_nodes(solves[-1][0], net.mu)[1])
         if not verdict.holds():
             raise ConditionNotVerifiedError(verdict)
 
     if delegate_zero_overflow and not np.any(net.q):
-        rates, trace = solves[-1][0], _goodman_massey_trace(solves)
+        rates, trace = solves[-1][0], _goodman_massey_trace(net, solves)
     else:
         n = net.n
         cap = n * n + 1
@@ -311,14 +329,14 @@ def solve_overflow(
                     )
             steps.extend(
                 TraceStep(outer=kappa, inner=ell, rates=r, stable=st, unstable=overloaded)
-                for ell, (r, st, _) in enumerate(solves, 1)
+                for ell, (r, st) in enumerate(solves, 1)
             )
-            rates, _, unstable = solves[-1]
+            rates = solves[-1][0]
             # A node joins the overloaded set only at or above capacity, and
             # stays while it is within the margin below it: joining within
             # the margin can push it further below and cycle the outer loop.
             at_capacity = frozenset(np.flatnonzero(rates >= net.mu).tolist())
-            new_overloaded = unstable & (at_capacity | overloaded)
+            new_overloaded = classify_nodes(rates, net.mu)[1] & (at_capacity | overloaded)
             if new_overloaded == overloaded:
                 break
             overloaded = new_overloaded

@@ -21,7 +21,7 @@ from trafficflow import (
     spectral_radius,
 )
 from trafficflow import linalg, solvers
-from trafficflow.linalg import RADIUS_MARGIN, _solve_stack, neumann_values, solve_reduced
+from trafficflow.linalg import RADIUS_MARGIN, Workspace, _solve_stack, neumann_values, solve_reduced
 from trafficflow.solvers import _pattern_system
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
@@ -125,9 +125,15 @@ def test_solve_left_equilibration_raises_no_warning():
 
 
 def _routes(c, rows):
-    """``solve_reduced``'s ``routes`` for the rows R = ``rows`` of C: C_R,
-    then a row of zeros."""
-    return np.concatenate([c[rows], np.zeros((1, len(c)))])
+    """``solve_reduced``'s ``routes`` for the rows R = ``rows`` of C: the
+    rows R of ``I - C``, then a row of zeros."""
+    n = len(c)
+    return np.concatenate([(np.eye(n) - c)[rows], np.zeros((1, n))])
+
+
+def _reduced(c, rows, b, band=None, unit_scales=False):
+    """``solve_reduced`` on the rows R = ``rows`` of C, in a fresh workspace."""
+    return solve_reduced(_routes(c, rows), rows, b, Workspace(len(c), band, unit_scales))
 
 
 def _materialized(c, rows):
@@ -143,7 +149,7 @@ def test_solve_reduced_equilibration_raises_no_warning():
     rows = np.array([0, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = solve_reduced(_routes(c, rows), rows, np.ones(3))
+        result = _reduced(c, rows, np.ones(3))
     want = solve_left(_materialized(c, rows), np.ones(2))
     assert result.status is want.status is not SolveStatus.UNIQUE
 
@@ -153,14 +159,14 @@ def test_solve_reduced_rejects_non_finite_input():
         c = np.zeros((3, 3))
         c[0, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            solve_reduced(_routes(c, [0, 2]), np.array([0, 2]), np.ones(3))
+            _reduced(c, np.array([0, 2]), np.ones(3))
         # Entries outside the gathered rows play no part.
         rows = np.array([1, 2])
-        assert solve_reduced(_routes(c, rows), rows, np.ones(3)).status is SolveStatus.UNIQUE
+        assert _reduced(c, rows, np.ones(3)).status is SolveStatus.UNIQUE
         # A non-finite rhs is rejected with or without equilibration.
         for unit_scales in (False, True):
             with pytest.raises(ValueError, match="finite"):
-                solve_reduced(_routes(c, rows), rows, np.array([1.0, 1.0, bad]), None, unit_scales)
+                _reduced(c, rows, np.array([1.0, 1.0, bad]), None, unit_scales)
 
 
 class TestEliminateFallback:
@@ -454,13 +460,13 @@ def test_banded_and_dense_kernels_agree(monkeypatch):
                 c[:, j] = np.eye(n)[j]
                 b[j] = 0.0 if kind == "consistent" else 1.0
             want = solve_left(np.eye(n) - c, b)
-            got = solve_reduced(_routes(c, every), every, b, (kl, ku))
+            got = _reduced(c, every, b, (kl, ku))
             assert got.status is want.status
             _assert_agree(got, want)
             # Scaling can move a singular system's consistency verdict (its
             # residual test is absolute) but not its pivot test.
             scaled = _scaled(c, factors)
-            _assert_agree(solve_reduced(_routes(scaled, every), every, b * factors, (kl, ku)), want)
+            _assert_agree(_reduced(scaled, every, b * factors, (kl, ku)), want)
             statuses.add(want.status)
         # Reduced systems, as the stable-set loop gathers them: still
         # above the cut-over, and within the band of the whole.
@@ -468,7 +474,7 @@ def test_banded_and_dense_kernels_agree(monkeypatch):
             c, b = _banded_routing(rng, n, kl, ku)
             rows = np.sort(rng.choice(n, size=n - 5, replace=False))
             want = solve_left(_materialized(c, rows), b[rows])
-            _assert_agree(solve_reduced(_routes(c, rows), rows, b, (kl, ku)), want)
+            _assert_agree(_reduced(c, rows, b, (kl, ku)), want)
     assert statuses == set(SolveStatus)
     assert len(banded) == 13 * len(bands)
     # A band too wide for its size, a system at the cut-over, and the
@@ -477,28 +483,30 @@ def test_banded_and_dense_kernels_agree(monkeypatch):
     for size, band in cases:
         c, b = _banded_routing(rng, size, *band)
         every = np.arange(size)
-        got = solve_reduced(_routes(c, every), every, b, band)
+        got = _reduced(c, every, b, band)
         assert got.x.tobytes() == solve_left(np.eye(size) - c, b).x.tobytes()
     monkeypatch.setattr(linalg, "_kernel", linalg._eliminate)
     c, b = _banded_routing(rng, n, 1, 1)
     every = np.arange(n)
-    got = solve_reduced(_routes(c, every), every, b, (1, 1))
+    got = _reduced(c, every, b, (1, 1))
     assert got.x.tobytes() == solve_left(np.eye(n) - c, b).x.tobytes()
     assert len(banded) == 13 * len(bands)
 
 
 def _band_reference(a, b, kl, ku):
     """The banded kernel on the array ``a``, its band storage filled entry
-    by entry: ``solve_reduced``'s result, by another route."""
+    by entry in a fresh workspace: ``solve_reduced``'s result, by another
+    route."""
     n = len(b)
     scale = linalg._row_scales(a, b)
-    buf, ab, x = linalg._band_buffer(n, kl, ku)
+    ws = Workspace(n, (kl, ku))
+    rhs, ab, _ = ws.views(n)
     for col in range(n):
         for row in range(max(0, col - ku), min(n, col + kl + 1)):
             ab[col, kl + ku + row - col] = a[col, row] / scale[row]
-    x[:] = b / scale
-    x = linalg._gbsv(buf, ab, x, kl, ku)
-    if np.isfinite(x).all():
+    rhs[:] = b / scale
+    x = linalg._gbsv(ws, n)
+    if x is not None and np.isfinite(x).all():
         return linalg.LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
     return linalg._solve_singular(a, b)
 
@@ -535,12 +543,14 @@ def test_reduced_gather_matches_the_materialized_system_bit_for_bit(monkeypatch,
     # and the scales come from the gathered band.
     banded = count_calls(monkeypatch, linalg, "_reduced_banded")
     inputs = []
+    # The matrix (band storage, fill-in rows included) and the rhs.
     for name in ("_gesv", "_gbsv"):
         kernel = getattr(linalg, name)
 
-        def recorded(buf, m, x, *band, kernel=kernel):
-            inputs.append(m.tobytes() + x.tobytes())
-            return kernel(buf, m, x, *band)
+        def recorded(ws, r, kernel=kernel):
+            rhs, matrix, _ = ws.views(r)
+            inputs.append(matrix.tobytes() + rhs.tobytes())
+            return kernel(ws, r)
 
         monkeypatch.setattr(linalg, name, recorded)
     rng = np.random.default_rng(37)
@@ -568,7 +578,7 @@ def test_reduced_gather_matches_the_materialized_system_bit_for_bit(monkeypatch,
             if kind == "singular":
                 _make_singular(rng, c, rows, min(kl, ku) if unit_scales else None)
             a = _materialized(c, rows)
-            got = solve_reduced(_routes(c, rows), rows, b, (kl, ku), unit_scales)
+            got = _reduced(c, rows, b, (kl, ku), unit_scales)
             dense = r <= cut or 2 * kl + ku + 1 >= r
             want = solve_left(a, b[rows]) if dense else _band_reference(a, b[rows], kl, ku)
             assert inputs[-2] == inputs[-1]
@@ -585,7 +595,7 @@ def test_reduced_gather_matches_the_materialized_system_bit_for_bit(monkeypatch,
             rhs = b.copy()
             rhs[rows[-1]] = bad
             with pytest.raises(ValueError, match="finite"):
-                solve_reduced(_routes(c, rows), rows, rhs, band, unit_scales)
+                _reduced(c, rows, rhs, band, unit_scales)
 
 
 def _assert_same_bits(results, stacked):
@@ -624,7 +634,7 @@ def test_single_and_stacked_solves_agree_bit_for_bit():
             subset = np.sort(rng.choice(n, size=n - 2, replace=False))
             for rows in (np.arange(n), subset, np.arange(0)):
                 sub, rhs = _materialized(c, rows), b[rows]
-                results = [solve_reduced(_routes(c, rows), rows, b), solve_left(sub, rhs)]
+                results = [_reduced(c, rows, b), solve_left(sub, rhs)]
                 _assert_same_bits(results, _solve_stack(sub[None], rhs[None])[0])
                 statuses.add(results[0].status)
     assert statuses == set(SolveStatus)
@@ -632,8 +642,8 @@ def test_single_and_stacked_solves_agree_bit_for_bit():
         stable, systems, rhs = _census_systems(net)
         every = np.arange(net.n)
         for mask, system, b, x in zip(stable, systems, rhs, _solve_stack(systems, rhs)):
-            routes = _routes(np.where(mask[:, None], net.p, net.q), every)
-            _assert_same_bits([solve_reduced(routes, every, b), solve_left(system, b)], x)
+            c = np.where(mask[:, None], net.p, net.q)
+            _assert_same_bits([_reduced(c, every, b), solve_left(system, b)], x)
 
 
 def test_spectral_radius_fixed_points():

@@ -326,9 +326,9 @@ def _dense_stable_set_loop(net, overloaded, budget, routing):
                 f"inner system is {result.status.value} for stable rows "
                 f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
             )
-        below, unstable = classify_nodes(result.x, net.mu)
+        below, _ = classify_nodes(result.x, net.mu)
         new_stable = below - overloaded
-        solves.append((result.x, new_stable, unstable))
+        solves.append((result.x, new_stable))
         if new_stable == stable:
             return solves
         stable = new_stable
@@ -417,7 +417,9 @@ def test_self_loop_grid_takes_the_equilibrated_band_path(monkeypatch):
         loops = np.diag(rng.random(grid.n) * (rng.random(grid.n) < 0.5))
         nets.append(make_network(grid.alpha, grid.mu, grid.p * 0.5 + loops / 2, grid.q))
         nets.append(make_network(grid.alpha, grid.mu, grid.p, grid.q * 0.5 + loops / 2))
-    assert all(net.n > linalg.BAND_MIN_ROWS and not _routing(net).unit_scales for net in nets)
+    assert all(
+        net.n > linalg.BAND_MIN_ROWS and not _routing(net).workspace.unit_scales for net in nets
+    )
     banded = count_calls(monkeypatch, linalg, "_reduced_banded")
     got = [_solve_record(net) for net in nets]
     assert banded or linalg._LAPACK is None
@@ -427,20 +429,112 @@ def test_self_loop_grid_takes_the_equilibrated_band_path(monkeypatch):
         _assert_same_solve(result, _solve_record(net))
 
 
+def _two_cycle(routes, rows, kl, ku):
+    """``routes`` with two of its rows, j and k within the band, replaced
+    by the rows ``e_j - e_k`` and ``e_k - e_j`` of a unit two-cycle: a
+    singular ``I - C_RR`` with a unit diagonal and entries in [-1, 0]."""
+    i = int(np.flatnonzero(np.diff(rows) <= min(kl, ku))[0])
+    j, k = rows[i], rows[i + 1]
+    routes = routes.copy()
+    routes[[i, i + 1]] = 0.0
+    routes[[i, i + 1], [j, k]] = 1.0
+    routes[[i, i + 1], [k, j]] = -1.0
+    return routes
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy bundles no ILP64 OpenBLAS")
+@pytest.mark.parametrize("loops", [False, True])
+def test_reused_workspace_matches_a_fresh_one(monkeypatch, loops):
+    # A checked m = 5 cell-grid solve hands every step the same workspace;
+    # its steps go dense, banded and dense again as r grows and shrinks.
+    # With self-loops in P every step is equilibrated.  After them the same
+    # workspace solves a singular banded system and a regular dense one.
+    # Every step hands LAPACK the bytes that a fresh workspace would (the
+    # band storage below its fill-in rows, which LAPACK sets itself) and
+    # gets the same status and x bytes, and where it is dense those of
+    # solve_left on the materialized system.  No rate vector the solve
+    # returns, and no step solution, shares memory with the workspace or
+    # with another, and the returned ones are read-only.
+    handed = []
+    for name, banded in (("_gesv", False), ("_gbsv", True)):
+        kernel = getattr(linalg, name)
+
+        def recorded(ws, r, kernel=kernel, banded=banded):
+            rhs, matrix, _ = ws.views(r)
+            read = matrix[:, ws.band[0] :] if banded else matrix
+            handed.append(read.tobytes() + rhs.tobytes())
+            return kernel(ws, r)
+
+        monkeypatch.setattr(linalg, name, recorded)
+
+    def step(routes, rows, b, workspace):
+        """solve_reduced's result and the bytes it handed LAPACK."""
+        k = len(handed)
+        return solve_reduced(routes, rows, b, workspace), handed[k:]
+
+    calls = []
+
+    def recording(routes, rows, b, workspace):
+        result, inputs = step(routes, rows, b, workspace)
+        calls.append((routes, rows, b, workspace, workspace.floats, result, inputs))
+        return result
+
+    monkeypatch.setattr(trafficflow.solvers, "solve_reduced", recording)
+    net = gen_example1(CellGridSpec(m=5, delta=0.5, epsilon=0.5))
+    if loops:
+        rng = np.random.default_rng(61)
+        diagonal = np.diag(rng.random(net.n) * (rng.random(net.n) < 0.5))
+        net = make_network(net.alpha, net.mu, net.p * 0.5 + diagonal / 2, net.q)
+    solution, trace = solve_overflow(net)
+    ws = calls[0][3]
+    assert all(call[3] is ws for call in calls) and ws.unit_scales is not loops
+    banded = "".join("b" if len(call[1]) > ws.dense_rows else "d" for call in calls)
+    sizes = np.array([len(call[1]) for call in calls])
+    assert "dbd" in banded and (np.diff(sizes) > 0).any() and (np.diff(sizes) < 0).any()
+    # The singular system follows a larger one, whose band columns are
+    # left after its own band.  Equilibrated, it is scaled down, so that
+    # those columns, were they read, would change its scales.
+    routes, rows, b = calls[banded.index("b")][:3]
+    assert len(calls[-1][1]) > len(rows)
+    singular = _two_cycle(routes, rows, *ws.band) * (1e-3 if loops else 1.0)
+    for routes, rows, b in ((singular, rows, b), calls[banded.index("db") + 2][:3]):
+        calls.append((routes, rows, b, ws, ws.floats, *step(routes, rows, b, ws)))
+    assert calls[-2][5].status is not SolveStatus.UNIQUE
+    assert len(calls[-2][1]) > ws.dense_rows >= len(calls[-1][1])
+    for routes, rows, b, _, _, got, inputs in calls:
+        want, fresh_inputs = step(routes, rows, b, linalg.Workspace(net.n, ws.band, ws.unit_scales))
+        assert inputs == fresh_inputs
+        wants = [want]
+        if len(rows) <= ws.dense_rows:
+            wants.append(solve_left(routes[:-1][:, rows], b[rows]))
+        for want in wants:
+            assert got.status is want.status
+            assert (got.x is None) == (want.x is None)
+            if want.x is not None:
+                assert got.x.tobytes() == want.x.tobytes()
+    buffers = {id(call[4]): call[4] for call in calls}.values()
+    returned = [step.rates for step in trace.history] + [solution.rates]
+    vectors = returned + [call[5].x for call in calls if call[5].x is not None]
+    for k, v in enumerate(vectors):
+        assert not any(np.shares_memory(v, buf) for buf in [*buffers, ws.ints])
+        assert not any(np.shares_memory(v, other) for other in vectors[k + 1 :])
+    assert not any(v.flags.writeable for v in returned)
+
+
 @settings(max_examples=100)
 @given(hard_networks())
 def test_network_band_bounds_every_reduced_system(net):
-    # Every reduced system the stable-set loop hands solve_reduced is
-    # nonzero off its diagonal only within the band it states, the
-    # network's, and its routes end in the zero row that out-of-band slots
-    # read.  These networks are small, so the band is stated from 1 node
-    # on.
+    # Every reduced system I - C_RR the stable-set loop hands solve_reduced
+    # is nonzero off its diagonal only within the band its workspace
+    # states, the network's, and its routes end in the zero row that
+    # out-of-band slots read.  These networks are small, so the band is
+    # stated from 1 node on.
     systems = []
 
-    def recording(routes, rows, b, band=None, unit_scales=False):
+    def recording(routes, rows, b, workspace):
         assert not routes[-1].any()
-        systems.append((routes[:-1][:, rows], band))
-        return solve_reduced(routes, rows, b, band, unit_scales)
+        systems.append((routes[:-1][:, rows], workspace.band))
+        return solve_reduced(routes, rows, b, workspace)
 
     with mock.patch.object(trafficflow.solvers, "BAND_MIN_ROWS", 0):
         with mock.patch.object(trafficflow.solvers, "solve_reduced", recording):

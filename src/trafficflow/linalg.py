@@ -161,26 +161,26 @@ def _solve_lapack(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray
 
 
 class Workspace:
-    """The LAPACK buffers of one solve, reused by each system it hands
+    """The LAPACK buffer of one solve, reused by each system it hands
     ``solve_reduced``, with the solve's statements about those systems.
 
     ``n`` is the number of columns of every ``routes`` and bounds the
     order of every system; ``band`` and ``unit_scales`` are the statements
-    that ``solve_reduced`` describes.  ``ints`` is the header that
-    ``dgesv`` and ``dgbsv`` read: the order, nrhs = 1, info, kl, ku and the
-    band storage's leading dimension ``width = 2 kl + ku + 1``, then the
-    row interchanges.  ``floats`` holds the rhs in its first n entries,
-    then kl columns of band storage that stay zero, then the matrix from
-    ``start`` on: column-major, or in band storage, where row c is column
-    c of the matrix M, kl entries for fill-in (which LAPACK sets itself),
-    then entry kl + t is ``M[c - ku + t, c]``.  ``floats`` grows to the
-    largest system; the call arguments, raw addresses, and the views of
-    each order are made once for each buffer, so only the order in the
-    header changes from one system to the next.
+    that ``solve_reduced`` describes.  ``floats`` starts with ``ints``, the
+    int64 header that ``dgesv`` and ``dgbsv`` read (the order, nrhs = 1,
+    info, kl, ku and the band storage's leading dimension
+    ``width = 2 kl + ku + 1``) and the row interchanges.  The rhs follows
+    at ``head``, then kl columns of band storage that stay zero, then the
+    matrix from ``start`` on: column-major, or in band storage, where row
+    c is column c of the matrix M, kl entries for fill-in (which LAPACK
+    sets itself), then entry kl + t is ``M[c - ku + t, c]``.  The buffer
+    grows to the largest system; its call arguments, raw addresses, and
+    the views of each order are made once for each buffer, so only the
+    order in the header changes from one system to the next.
     """
 
     __slots__ = (
-        "band", "unit_scales", "dense_rows", "width", "start", "ints", "floats",
+        "band", "unit_scales", "dense_rows", "width", "head", "start", "ints", "floats",
         "gesv", "gbsv", "cols", "sentinel", "windows", "offsets", "scales", "_views",
     )  # fmt: skip
 
@@ -190,11 +190,10 @@ class Workspace:
         self.width = 2 * kl + ku + 1
         # Systems of more rows than this are factored banded.
         self.dense_rows = n if band is None else max(BAND_MIN_ROWS, self.width)
-        self.start = n + kl * self.width
-        self.ints = np.empty(6 + n, dtype=np.int64)
-        self.ints[:6] = n, 1, 0, kl, ku, self.width
-        self.floats = np.empty(0)
-        self._views: dict = {}
+        self.head = 6 + n
+        self.start = self.head + n + kl * self.width
+        # Room for every system of at most BAND_MIN_ROWS rows from the start.
+        self._grow(self.start + min(n, BAND_MIN_ROWS) ** 2)
         if band is not None:
             w = kl + ku + 1
             # Column indices into routes for the band gather: rows[j] at
@@ -206,6 +205,18 @@ class Workspace:
             # Column scales at ku + j; the others divide only zero slots.
             self.scales = np.ones(n + w - 1)
 
+    def _grow(self, size: int) -> None:
+        """A zeroed buffer of ``size`` entries, with its header and its
+        call arguments."""
+        self.floats = np.zeros(size)
+        self.ints = self.floats[: self.head].view(np.int64)
+        self.ints[1:6] = 1, 0, *(self.band or (0, 0)), self.width
+        p = self.floats.ctypes.data
+        a, b = p + 8 * self.start, p + 8 * self.head
+        self.gesv = (p, p + 8, a, p, p + 48, b, p, p + 16)
+        self.gbsv = (p, p + 24, p + 32, p + 8, a, p + 40, p + 48, b, p, p + 16)
+        self._views = {}
+
     def views(self, r: int):
         """The rhs, the matrix and U's diagonal of an order-r system, as
         views of ``floats``: the matrix as the rows of its transpose when
@@ -215,21 +226,16 @@ class Workspace:
         views = self._views.get(r)
         if views is None:
             kl, ku = self.band or (0, 0)
-            s, banded = self.start, r > self.dense_rows
+            h, s, banded = self.head, self.start, r > self.dense_rows
             size = s + ((r + ku) * self.width if banded else r * r)
             if len(self.floats) < size:
-                self.floats = np.zeros(size)
-                f, p = self.floats.ctypes.data, self.ints.ctypes.data
-                a = f + 8 * s
-                self.gesv = (p, p + 8, a, p, p + 48, f, p, p + 16)
-                self.gbsv = (p, p + 24, p + 32, p + 8, a, p + 40, p + 48, f, p, p + 16)
-                self._views.clear()
+                self._grow(size)
             f = self.floats
             if banded:
                 m = f[s : s + r * self.width].reshape(r, self.width)
-                views = f[:r], m, m[:, kl + ku]
+                views = f[h : h + r], m, m[:, kl + ku]
             else:
-                views = f[:r], f[s : s + r * r].reshape(r, r), f[s : s + r * r : r + 1]
+                views = f[h : h + r], f[s : s + r * r].reshape(r, r), f[s : s + r * r : r + 1]
             self._views[r] = views
         return views
 

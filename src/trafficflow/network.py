@@ -105,6 +105,12 @@ def make_network(alpha, mu, p, q=None) -> Network:
     return Network(n=n, alpha=alpha, mu=mu, p=p, q=q)
 
 
+def _overloaded(rates: np.ndarray, mu: np.ndarray) -> frozenset[int]:
+    """``classify_nodes``'s unstable set of the float arrays ``rates``
+    and ``mu``."""
+    return frozenset((rates >= mu - STABILITY_MARGIN).nonzero()[0].tolist())
+
+
 def classify_nodes(rates, mu) -> tuple[frozenset[int], frozenset[int]]:
     """Split nodes into (stable, unstable) with the documented margin.
 
@@ -112,9 +118,8 @@ def classify_nodes(rates, mu) -> tuple[frozenset[int], frozenset[int]]:
     capacity or above it; results within the margin of the boundary are
     classification-fragile.
     """
-    rates = np.asarray(rates, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    unstable = frozenset((rates >= mu - STABILITY_MARGIN).nonzero()[0].tolist())
+    unstable = _overloaded(np.asarray(rates, dtype=float), mu)
     stable = frozenset(range(len(mu))) - unstable
     return stable, unstable
 

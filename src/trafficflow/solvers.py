@@ -10,7 +10,7 @@ its stable and overloaded nodes, the others being identity rows, from
 ``solve_reduced`` with the solve's one ``Workspace``, which holds the
 network's band and the LAPACK buffers; a step classifies its rates once,
 into the next stable set, and the trace and the outer loop classify the
-rates they keep with ``classify_nodes``.  The census gathers the full
+rates they keep by ``classify_nodes``'s rule.  The census gathers the full
 pattern systems of a chunk of patterns by row and solves them dense with
 one ``_solve_stack`` call, a single stacked ``dgesv`` call when every
 system of the chunk is diagonally dominant.
@@ -38,7 +38,7 @@ from .linalg import BAND_MIN_ROWS, RADIUS_MARGIN, SolveStatus, Workspace, neuman
 from .linalg import solve_left, solve_reduced, spectral_radius
 from .linalg import _solve_singular, _solve_stack
 from .network import STABILITY_MARGIN, Equation, Network, TrafficSolution, _frozen
-from .network import _ValueEq, classify_nodes, residual
+from .network import _ValueEq, _overloaded, classify_nodes, residual
 from .structure import check_overflow_condition, isolated_classes
 
 #: Successful solves must satisfy this max-norm residual.
@@ -133,7 +133,8 @@ def _routing(net: Network) -> _Routing:
     ``I - C_RR`` has a unit diagonal and no larger entry, so every column
     scale is exactly 1."""
     n, p, q = net.n, net.p, net.q
-    source = np.concatenate([np.eye(n) - p, np.eye(n) - q, np.zeros((1, n))])
+    eye = np.eye(n)
+    source = np.concatenate([eye - p, eye - q, np.zeros((1, n))])
     loops = p.diagonal().any() or q.diagonal().any()
     in_unit = all(m.min() >= 0.0 and m.max() <= 1.0 for m in (p, q))
     return _Routing(source, Workspace(n, _network_band(net), bool(not loops and in_unit)))
@@ -223,9 +224,7 @@ def _goodman_massey_pass(net: Network, routing: _Routing):
 def _goodman_massey_trace(net: Network, solves) -> SolveTrace:
     """Label a Goodman-Massey pass: one outer iteration per solve."""
     steps = tuple(
-        TraceStep(
-            outer=k, inner=1, rates=rates, stable=stable, unstable=classify_nodes(rates, net.mu)[1]
-        )
+        TraceStep(outer=k, inner=1, rates=rates, stable=stable, unstable=_overloaded(rates, net.mu))
         for k, (rates, stable) in enumerate(solves, 1)
     )
     return SolveTrace(
@@ -309,7 +308,7 @@ def solve_overflow(
     routing = _routing(net)
     solves = _goodman_massey_pass(net, routing)
     if not best_effort:
-        verdict = check_overflow_condition(net, classify_nodes(solves[-1][0], net.mu)[1])
+        verdict = check_overflow_condition(net, _overloaded(solves[-1][0], net.mu))
         if not verdict.holds():
             raise ConditionNotVerifiedError(verdict)
 
@@ -336,7 +335,7 @@ def solve_overflow(
             # stays while it is within the margin below it: joining within
             # the margin can push it further below and cycle the outer loop.
             at_capacity = frozenset(np.flatnonzero(rates >= net.mu).tolist())
-            new_overloaded = classify_nodes(rates, net.mu)[1] & (at_capacity | overloaded)
+            new_overloaded = _overloaded(rates, net.mu) & (at_capacity | overloaded)
             if new_overloaded == overloaded:
                 break
             overloaded = new_overloaded

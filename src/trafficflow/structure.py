@@ -14,7 +14,7 @@ import numpy as np
 from ._graph import strongly_connected_components
 from .errors import _fmt_set
 from .linalg import RADIUS_MARGIN, has_stochastic_class, neumann_values, spectral_radius
-from .network import ROW_SUM_TOL, Network, classify_nodes
+from .network import ROW_SUM_TOL, Network, _overloaded
 
 #: Relative margin by which a row must beat the current one before
 #: policy iteration switches to it, so that rounding in two equal
@@ -270,8 +270,7 @@ def condition_report(net: Network) -> ConditionReport:
 
     dec = characterize_classes(net)
     if dec.non_isolated:
-        rates = _goodman_massey_pass(net, _routing(net))[-1][0]
-        gm_unstable = classify_nodes(rates, net.mu)[1]
+        gm_unstable = _overloaded(_goodman_massey_pass(net, _routing(net))[-1][0], net.mu)
         verdict = check_overflow_condition(net, gm_unstable)
     else:
         gm_unstable = frozenset()

@@ -157,8 +157,9 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int, rout
     identity rows.  Each step gathers their rows ``(I - C)_R`` from
     ``routing.source``, solves ``x_R (I - C_RR) = b_R`` with one
     ``solve_reduced`` call (no rows when R is empty) and gets the other
-    rates from ``x = b - x_R @ (I - C)_R``, whose entries outside R are
-    those of ``b + x_R @ C_R``, exactly.  The pattern system is block
+    rates from ``x = b - x_R @ (I - C)_R``: outside the columns R,
+    ``(I - C)_R`` holds the exact negations of C_R's entries, so those
+    rates have the bits of ``b + x_R @ C_R``.  The pattern system is block
     triangular, so it is singular exactly when the reduced one is.
     """
     n = net.n

@@ -513,10 +513,10 @@ def test_reused_workspace_matches_a_fresh_one(monkeypatch, loops):
             if want.x is not None:
                 assert got.x.tobytes() == want.x.tobytes()
     buffers = {id(call[4]): call[4] for call in calls}.values()
-    returned = [step.rates for step in trace.history] + [solution.rates]
+    returned = [s.rates for s in trace.history] + [solution.rates]
     vectors = returned + [call[5].x for call in calls if call[5].x is not None]
     for k, v in enumerate(vectors):
-        assert not any(np.shares_memory(v, buf) for buf in [*buffers, ws.ints])
+        assert not any(np.shares_memory(v, buf) for buf in buffers)
         assert not any(np.shares_memory(v, other) for other in vectors[k + 1 :])
     assert not any(v.flags.writeable for v in returned)
 

@@ -221,7 +221,7 @@ class Workspace:
         """The rhs, the matrix and U's diagonal of an order-r system, as
         views of ``floats``: the matrix as the rows of its transpose when
         dense, as band storage of shape (r, width) when banded (above
-        ``dense_rows`` rows), and then followed by ku zero columns that
+        ``dense_rows`` rows), with room after it for the ku columns that
         equilibration reads."""
         views = self._views.get(r)
         if views is None:

@@ -173,10 +173,10 @@ class Workspace:
     at ``head``, then kl columns of band storage that stay zero, then the
     matrix from ``start`` on: column-major, or in band storage, where row
     c is column c of the matrix M, kl entries for fill-in (which LAPACK
-    sets itself), then entry kl + t is ``M[c - ku + t, c]``.  The buffer
-    grows to the largest system; its call arguments, raw addresses, and
-    the views of each order are made once for each buffer, so only the
-    order in the header changes from one system to the next.
+    sets itself), then entry kl + t is ``M[c - ku + t, c]``.  The buffer is
+    sized once for the largest system; its call arguments and raw
+    addresses are made once, and the views of each order once, so only
+    the order in the header changes from one system to the next.
     """
 
     __slots__ = (
@@ -192,8 +192,17 @@ class Workspace:
         self.dense_rows = n if band is None else max(BAND_MIN_ROWS, self.width)
         self.head = 6 + n
         self.start = self.head + n + kl * self.width
-        # Room for every system of at most BAND_MIN_ROWS rows from the start.
-        self._grow(self.start + min(n, BAND_MIN_ROWS) ** 2)
+        # Room for the largest system; a banded one has ku columns after it.
+        dense = min(n, self.dense_rows)
+        banded = (n + ku) * self.width if n > dense else 0
+        self.floats = np.zeros(self.start + max(dense * dense, banded))
+        self.ints = self.floats[: self.head].view(np.int64)
+        self.ints[1:6] = 1, 0, kl, ku, self.width
+        p = self.floats.ctypes.data
+        a, b = p + 8 * self.start, p + 8 * self.head
+        self.gesv = (p, p + 8, a, p, p + 48, b, p, p + 16)
+        self.gbsv = (p, p + 24, p + 32, p + 8, a, p + 40, p + 48, b, p, p + 16)
+        self._views = {}
         if band is not None:
             w = kl + ku + 1
             # Column indices into routes for the band gather: rows[j] at
@@ -205,18 +214,6 @@ class Workspace:
             # Column scales at ku + j; the others divide only zero slots.
             self.scales = np.ones(n + w - 1)
 
-    def _grow(self, size: int) -> None:
-        """A zeroed buffer of ``size`` entries, with its header and its
-        call arguments."""
-        self.floats = np.zeros(size)
-        self.ints = self.floats[: self.head].view(np.int64)
-        self.ints[1:6] = 1, 0, *(self.band or (0, 0)), self.width
-        p = self.floats.ctypes.data
-        a, b = p + 8 * self.start, p + 8 * self.head
-        self.gesv = (p, p + 8, a, p, p + 48, b, p, p + 16)
-        self.gbsv = (p, p + 24, p + 32, p + 8, a, p + 40, p + 48, b, p, p + 16)
-        self._views = {}
-
     def views(self, r: int):
         """The rhs, the matrix and U's diagonal of an order-r system, as
         views of ``floats``: the matrix as the rows of its transpose when
@@ -226,12 +223,8 @@ class Workspace:
         views = self._views.get(r)
         if views is None:
             kl, ku = self.band or (0, 0)
-            h, s, banded = self.head, self.start, r > self.dense_rows
-            size = s + ((r + ku) * self.width if banded else r * r)
-            if len(self.floats) < size:
-                self._grow(size)
-            f = self.floats
-            if banded:
+            f, h, s = self.floats, self.head, self.start
+            if r > self.dense_rows:
                 m = f[s : s + r * self.width].reshape(r, self.width)
                 views = f[h : h + r], m, m[:, kl + ku]
             else:
@@ -240,24 +233,17 @@ class Workspace:
         return views
 
 
-def _gesv(ws: Workspace, r: int) -> np.ndarray | None:
-    """Run ``dgesv`` on the order-r system filled into ``ws``: a copy of
-    the solution, or None where ``_regular`` fails."""
-    x, _, diagonal = ws.views(r)
+def _lapack_solve(ws: Workspace, r: int, x, diagonal) -> np.ndarray | None:
+    """Run ``dgesv``, or ``dgbsv`` above ``ws.dense_rows`` rows, on the
+    system filled into ``ws`` with its rhs ``x``: a copy of the solution,
+    or None where ``_regular`` fails on U's ``diagonal``.  Row partial
+    pivoting within a band picks the dense pivots, since every candidate
+    outside it is 0, so this is the dense pivot test."""
     ws.ints[0] = r
-    _LAPACK[0](*ws.gesv)
-    return x.copy() if _regular(diagonal) else None
-
-
-def _gbsv(ws: Workspace, r: int) -> np.ndarray | None:
-    """Run ``dgbsv`` on the band storage filled into ``ws``: a copy of the
-    solution, or None where ``_regular`` fails on the band row that holds
-    U's diagonal.  Row partial pivoting within the band picks the dense
-    pivots, since every candidate outside it is 0, so this is the dense
-    pivot test."""
-    x, _, diagonal = ws.views(r)
-    ws.ints[0] = r
-    _LAPACK[1](*ws.gbsv)
+    if r > ws.dense_rows:
+        _LAPACK[1](*ws.gbsv)
+    else:
+        _LAPACK[0](*ws.gesv)
     return x.copy() if _regular(diagonal) else None
 
 
@@ -341,57 +327,34 @@ def _finite(x: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(x)) == len(x)
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> LinearSolveResult:
-    """One system ``x @ a = b``, dense, with the bits of a stack of one
-    through ``_solve_stack`` but no stack axis.  ``_solve_singular``
-    classifies a non-finite solution."""
-    if len(b) == 0 or _kernel is not _solve_lapack:
-        x = _solve_stack(a[None], b[None])[0]
-    else:
-        n = len(b)
-        scale = _row_scales(a, b)
-        ws = Workspace(n)
-        rhs, m, _ = ws.views(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(a, scale, out=m)
-            np.divide(b, scale, out=rhs)
-        x = _gesv(ws, n)
-    if x is not None and _finite(x):
-        return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
-    return _solve_singular(a, b)
-
-
 def solve_left(a_matrix: np.ndarray, b) -> LinearSolveResult:
     """Solve ``x @ a_matrix = b`` for the row vector x.
 
     One dense kernel call factors the transposed system with scaled
-    partial pivoting and substitutes.  The status is unique only when
-    every pivot clears the relative threshold and the solution is finite;
-    otherwise the system is singular-consistent (with a least-squares x)
-    or singular-inconsistent.  Non-finite input raises ValueError.
+    partial pivoting and substitutes, with the bits of a stack of one
+    through ``_solve_stack``.  The status is unique only when every pivot
+    clears the relative threshold and the solution is finite; otherwise
+    the system is singular-consistent (with a least-squares x) or
+    singular-inconsistent.  Non-finite input raises ValueError.
     """
     a = _check_square(a_matrix)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
-    return _solve(a, b)
-
-
-def _reduced_dense(routes, rows, b, ws: Workspace):
-    """The dense kernel on ``I - C_RR``, gathered into ``ws``."""
-    r = len(rows)
-    x, m, _ = ws.views(r)
-    # Every index is in range; "clip" only lets take write to out unbuffered.
-    b.take(rows, out=x, mode="clip")
-    routes[:-1].take(rows, 1, out=m, mode="clip")
-    if not ws.unit_scales:
-        # The column maxima of I - C_RR are the row scales of its transpose.
-        scale = _positive(np.maximum.reduce(np.abs(m), axis=0))
+    if n == 0 or _kernel is not _solve_lapack:
+        x = _solve_stack(a[None], b[None])[0]
+    else:
+        scale = _row_scales(a, b)
+        ws = Workspace(n)
+        rhs, m, diagonal = ws.views(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(m, scale, out=m)
-            np.divide(x, scale, out=x)
-    return _gesv(ws, r)
+            np.divide(a, scale, out=m)
+            np.divide(b, scale, out=rhs)
+        x = _lapack_solve(ws, n, rhs, diagonal)
+    if x is not None and _finite(x):
+        return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
+    return _solve_singular(a, b)
 
 
 def _windows(v: np.ndarray, w: int) -> np.ndarray:
@@ -401,14 +364,12 @@ def _windows(v: np.ndarray, w: int) -> np.ndarray:
     return np.ndarray((len(v) - w + 1, w), v.dtype, v, strides=2 * v.strides)
 
 
-def _reduced_banded(routes, rows, b, ws: Workspace):
-    """The banded kernel on ``I - C_RR``, whose band is gathered straight
-    from ``routes`` into band storage: no r x r system is built."""
+def _reduced_banded(routes, rows, ws: Workspace, x: np.ndarray, ab: np.ndarray) -> None:
+    """Gather the band of ``I - C_RR`` straight from ``routes`` into the
+    band storage ``ab``, with no r x r system; equilibrate it with ``x``."""
     r, s, width = len(rows), ws.start, ws.width
     kl, ku = ws.band
     w = kl + ku + 1
-    x, ab, _ = ws.views(r)
-    b.take(rows, out=x, mode="clip")
     band = ab[:, kl:]
     # Slot [c, t] is (I - C_RR)[c, j] for j = c - ku + t, at the flat index
     # c n + rows[j] of routes.  A j outside the system indexes past the
@@ -416,7 +377,7 @@ def _reduced_banded(routes, rows, b, ws: Workspace):
     cols = ws.cols
     cols[ku : ku + r] = rows
     cols[ku + r : r + w - 1] = ws.sentinel
-    np.take(routes, ws.offsets[:r] + ws.windows[:r], out=band, mode="clip")
+    routes.take(ws.offsets[:r] + ws.windows[:r], out=band, mode="clip")
     if not ws.unit_scales:
         # Column j of the system, the slots [c, j - c + ku] for c = j - kl
         # ... j + ku, is one strided row of ``columns``.  Its slots for
@@ -433,7 +394,36 @@ def _reduced_banded(routes, rows, b, ws: Workspace):
         with np.errstate(over="ignore", invalid="ignore"):
             np.divide(band, _windows(ws.scales, w)[:r], out=band)
             np.divide(x, scale, out=x)
-    return _gbsv(ws, r)
+
+
+def _reduced_solution(routes, rows, b, workspace: Workspace) -> np.ndarray | None:
+    """A copy of the kernel solution of ``solve_reduced``'s system, or None
+    where the kernel fails, for ``_solve_singular`` to classify.  A
+    non-finite rhs entry always reaches the solution, so the rhs is
+    checked only when the solution is not finite."""
+    r = len(rows)
+    if r == 0 or _kernel is not _solve_lapack:
+        x = _solve_stack(routes[:-1].take(rows, 1)[None], b.take(rows)[None])[0]
+    else:
+        rhs, m, diagonal = workspace.views(r)
+        # Every index is in range; "clip" only lets take write to out unbuffered.
+        b.take(rows, out=rhs, mode="clip")
+        if r > workspace.dense_rows:
+            _reduced_banded(routes, rows, workspace, rhs, m)
+        else:
+            routes[:-1].take(rows, 1, out=m, mode="clip")
+            if not workspace.unit_scales:
+                # The column maxima of I - C_RR are the row scales of its transpose.
+                scale = _positive(np.maximum.reduce(np.abs(m), axis=0))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.divide(m, scale, out=m)
+                    np.divide(rhs, scale, out=rhs)
+        x = _lapack_solve(workspace, r, rhs, diagonal)
+    if x is not None and _finite(x):
+        return x
+    if not np.isfinite(b.take(rows)).all():
+        raise ValueError("matrix and rhs must be finite")
+    return None
 
 
 def solve_reduced(
@@ -454,23 +444,12 @@ def solve_reduced(
     entries outside the band.  ``workspace.unit_scales`` states that
     ``I - C`` has a unit diagonal and off-diagonal entries in [-1, 0]:
     every column scale of ``I - C_RR`` is then exactly 1, so
-    equilibration is skipped.  A non-finite rhs entry always reaches the
-    solution, so the rhs is checked only when the solution is not finite;
-    non-finite input raises ValueError.
+    equilibration is skipped.  Non-finite input raises ValueError.
     """
-    r = len(rows)
-    if r == 0 or _kernel is not _solve_lapack:
-        return _solve(routes[:-1].take(rows, 1), b.take(rows))
-    if r > workspace.dense_rows:
-        x = _reduced_banded(routes, rows, b, workspace)
-    else:
-        x = _reduced_dense(routes, rows, b, workspace)
-    if x is not None and _finite(x):
+    x = _reduced_solution(routes, rows, b, workspace)
+    if x is not None:
         return LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
-    b = b.take(rows)
-    if not np.isfinite(b).all():
-        raise ValueError("matrix and rhs must be finite")
-    return _solve_singular(routes[:-1].take(rows, 1), b)
+    return _solve_singular(routes[:-1].take(rows, 1), b.take(rows))
 
 
 def neumann_values(m: np.ndarray) -> np.ndarray | None:

@@ -7,13 +7,14 @@ and no factors carried between steps, so iteration counts are exactly
 reproducible.  A step of the stable-set iteration gathers the rows of
 its stable and overloaded nodes, the others being identity rows, from
 ``[I - P; I - Q; 0]``, stacked once per solve, and hands them to
-``solve_reduced`` with the solve's one ``Workspace``, which holds the
+``_reduced_solution`` with the solve's one ``Workspace``, which holds the
 network's band and the LAPACK buffers; a step classifies its rates once,
 into the next stable set, and the trace and the outer loop classify the
-rates they keep by ``classify_nodes``'s rule.  The census gathers the full
-pattern systems of a chunk of patterns by row and solves them dense with
-one ``_solve_stack`` call, a single stacked ``dgesv`` call when every
-system of the chunk is diagonally dominant.
+rates they keep by ``classify_nodes``'s rule, the outer loop on a mask.
+The census gathers the full pattern systems of a chunk of patterns by
+row and solves them dense with one ``_solve_stack`` call, a single
+stacked ``dgesv`` call when every system of the chunk is diagonally
+dominant.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .errors import (
     SpectralRadiusAtLeastOneError,
 )
 from .linalg import BAND_MIN_ROWS, RADIUS_MARGIN, SolveStatus, Workspace, neumann_values
-from .linalg import solve_left, solve_reduced, spectral_radius
-from .linalg import _solve_singular, _solve_stack
+from .linalg import solve_left, spectral_radius
+from .linalg import _reduced_solution, _solve_singular, _solve_stack
 from .network import STABILITY_MARGIN, Equation, Network, TrafficSolution, _frozen
 from .network import _ValueEq, _overloaded, classify_nodes, residual
 from .structure import check_overflow_condition, isolated_classes
@@ -69,6 +70,15 @@ class TraceStep(_ValueEq):
 
     def __post_init__(self):
         object.__setattr__(self, "rates", _frozen(self.rates))
+
+
+def _step(outer: int, inner: int, rates: np.ndarray, stable, unstable) -> TraceStep:
+    """A TraceStep holding ``rates`` itself, made read-only in place: a
+    vector the solver has just computed and holds nowhere else."""
+    rates.setflags(write=False)
+    step = object.__new__(TraceStep)
+    vars(step).update(outer=outer, inner=inner, rates=rates, stable=stable, unstable=unstable)
+    return step
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +122,12 @@ def _network_band(net: Network) -> tuple[int, int] | None:
     """
     if net.n <= BAND_MIN_ROWS:
         return None
-    rows, cols = np.nonzero((net.p != 0) | (net.q != 0))
-    offset = cols - rows
-    return int(np.max(offset, initial=0)), int(-np.min(offset, initial=0))
+    # Each row's first and last nonzero; the diagonal counts, for empty rows.
+    nonzero = (net.p != 0) | (net.q != 0)
+    np.fill_diagonal(nonzero, True)
+    i = np.arange(net.n)
+    last = net.n - 1 - nonzero[:, ::-1].argmax(axis=1)
+    return int(np.max(last - i)), int(np.max(i - nonzero.argmax(axis=1)))
 
 
 class _Routing(NamedTuple):
@@ -131,21 +144,24 @@ def _routing(net: Network) -> _Routing:
     """The ``_Routing`` of ``net``, built once per solve.  With zero
     diagonals in P and Q and every entry in [0, 1], each reduced system
     ``I - C_RR`` has a unit diagonal and no larger entry, so every column
-    scale is exactly 1."""
-    n, p, q = net.n, net.p, net.q
-    eye = np.eye(n)
-    source = np.concatenate([eye - p, eye - q, np.zeros((1, n))])
-    loops = p.diagonal().any() or q.diagonal().any()
-    in_unit = all(m.min() >= 0.0 and m.max() <= 1.0 for m in (p, q))
-    return _Routing(source, Workspace(n, _network_band(net), bool(not loops and in_unit)))
+    scale is exactly 1.  ``source`` is ``[P; Q; 0]`` negated as ``0 - c``
+    with 1 added on both diagonals, the IEEE operations of ``eye - P``."""
+    n = net.n
+    source = np.concatenate([net.p, net.q, np.zeros((1, n))])
+    routing = source[: 2 * n]
+    diagonals = routing.reshape(2, n * n)[:, :: n + 1]
+    unit = not diagonals.any() and routing.min() >= 0.0 and routing.max() <= 1.0
+    np.subtract(0.0, source, out=source)
+    diagonals += 1.0
+    return _Routing(source, Workspace(n, _network_band(net), bool(unit)))
 
 
-def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int, routing: _Routing):
+def _stable_set_loop(net: Network, overloaded: np.ndarray, budget: int, routing: _Routing):
     """The stable-set growth iteration with a fixed overloaded set.
 
     Starting from an empty stable set, each pass solves the pattern
-    system with the current stable set and linear overflow rows for
-    ``overloaded``, then re-derives the stable set among the other nodes
+    system with the current stable set and linear overflow rows for the
+    boolean mask ``overloaded``, then re-derives the stable set among the other nodes
     from the result, until the set stops changing.  Returns one
     (rates, stable) pair per linear solve, or None when ``budget`` solves
     do not settle the set.  A node is stable when it is not overloaded
@@ -156,8 +172,8 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int, rout
     Only the rows R = stable | overloaded of the pattern system are not
     identity rows.  Each step gathers their rows ``(I - C)_R`` from
     ``routing.source``, solves ``x_R (I - C_RR) = b_R`` with one
-    ``solve_reduced`` call (no rows when R is empty) and gets the other
-    rates from ``x = b - x_R @ (I - C)_R``: outside the columns R,
+    ``_reduced_solution`` call (no rows when R is empty) and gets the
+    other rates from ``x = b - x_R @ (I - C)_R``: outside the columns R,
     ``(I - C)_R`` holds the exact negations of C_R's entries, so those
     rates have the bits of ``b + x_R @ C_R``.  The pattern system is block
     triangular, so it is singular exactly when the reduced one is.
@@ -165,17 +181,14 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int, rout
     n = net.n
     alpha, mu, p = net.alpha, net.mu, net.p
     source, workspace = routing
-    overloaded_rows = list(overloaded)
-    free = np.ones(n, dtype=bool)
-    free[overloaded_rows] = False
-    overflow = ~free
-    outflow = np.where(overflow, mu, 0.0) @ net.q
+    free = ~overloaded
+    outflow = np.where(overloaded, mu, 0.0) @ net.q
     # The stable set never meets the overloaded one, so row i of every
     # pass's coefficient matrix is I - Q's for an overloaded i and I - P's
     # for a stable one: source row i + n for the one, i for the other.  The
-    # last entries select the zero row that solve_reduced takes after them.
+    # last entries select the zero row that ends every routes.
     source_rows = np.arange(n + 1)
-    source_rows[overloaded_rows] += n
+    source_rows[:n] += n * overloaded
     source_rows[n] = 2 * n
     selected = np.ones(n + 1, dtype=bool)
     head = selected[:n]
@@ -188,19 +201,20 @@ def _stable_set_loop(net: Network, overloaded: frozenset[int], budget: int, rout
         b = np.where(stable_mask, 0.0, mu) @ p
         np.add(alpha, b, out=b)
         np.subtract(b, outflow, out=b)
-        np.logical_or(stable_mask, overflow, out=head)
+        np.logical_or(stable_mask, overloaded, out=head)
         picked = selected.nonzero()[0]
         rows = picked[:-1]
         routes = source.take(source_rows.take(picked), 0)
-        result = solve_reduced(routes, rows, b, workspace)
-        if result.status is not SolveStatus.UNIQUE:
+        x_rows = _reduced_solution(routes, rows, b, workspace)
+        if x_rows is None:
+            status = _solve_singular(routes[:-1].take(rows, 1), b.take(rows)).status
             raise SingularInnerSystemError(
-                f"inner system is {result.status.value} for stable rows "
-                f"{sorted(stable)} and overflow rows {sorted(overloaded)}"
+                f"inner system is {status.value} for stable rows "
+                f"{sorted(stable)} and overflow rows {np.flatnonzero(overloaded).tolist()}"
             )
-        x = result.x @ routes[:-1]
+        x = x_rows @ routes[:-1]
         np.subtract(b, x, out=x)
-        x[rows] = result.x
+        x[rows] = x_rows
         # Free and not at capacity; a NaN rate counts as stable, as in
         # classify_nodes.
         stable_mask = free > (x >= threshold)
@@ -216,7 +230,7 @@ def _goodman_massey_pass(net: Network, routing: _Routing):
     """The Goodman-Massey iteration: at most one linear solve per node
     plus a confirming solve (n + 2 allowed), given ``_routing(net)``.
     Returns the loop's pairs."""
-    solves = _stable_set_loop(net, frozenset(), net.n + 2, routing)
+    solves = _stable_set_loop(net, np.zeros(net.n, dtype=bool), net.n + 2, routing)
     if solves is None:
         raise NonConvergenceError("stable-set iteration failed to settle")
     return solves
@@ -225,7 +239,7 @@ def _goodman_massey_pass(net: Network, routing: _Routing):
 def _goodman_massey_trace(net: Network, solves) -> SolveTrace:
     """Label a Goodman-Massey pass: one outer iteration per solve."""
     steps = tuple(
-        TraceStep(outer=k, inner=1, rates=rates, stable=stable, unstable=_overloaded(rates, net.mu))
+        _step(k, 1, rates, stable, _overloaded(rates, net.mu))
         for k, (rates, stable) in enumerate(solves, 1)
     )
     return SolveTrace(
@@ -316,30 +330,30 @@ def solve_overflow(
     if delegate_zero_overflow and not np.any(net.q):
         rates, trace = solves[-1][0], _goodman_massey_trace(net, solves)
     else:
-        n = net.n
+        n, mu = net.n, net.mu
         cap = n * n + 1
+        mask = np.zeros(n, dtype=bool)
         overloaded: frozenset[int] = frozenset()
         steps: list[TraceStep] = []
         for kappa in range(1, n + 3):
             if kappa > 1:
-                solves = _stable_set_loop(net, overloaded, cap - len(steps), routing)
+                solves = _stable_set_loop(net, mask, cap - len(steps), routing)
                 if solves is None:
                     raise NonConvergenceError(
                         f"exceeded iteration cap {cap} without reaching a fixed point"
                     )
             steps.extend(
-                TraceStep(outer=kappa, inner=ell, rates=r, stable=st, unstable=overloaded)
-                for ell, (r, st) in enumerate(solves, 1)
+                _step(kappa, ell, r, st, overloaded) for ell, (r, st) in enumerate(solves, 1)
             )
             rates = solves[-1][0]
             # A node joins the overloaded set only at or above capacity, and
             # stays while it is within the margin below it: joining within
             # the margin can push it further below and cycle the outer loop.
-            at_capacity = frozenset(np.flatnonzero(rates >= net.mu).tolist())
-            new_overloaded = _overloaded(rates, net.mu) & (at_capacity | overloaded)
-            if new_overloaded == overloaded:
+            new_mask = (rates >= mu - STABILITY_MARGIN) & ((rates >= mu) | mask)
+            if (new_mask == mask).all():
                 break
-            overloaded = new_overloaded
+            mask = new_mask
+            overloaded = frozenset(mask.nonzero()[0].tolist())
         else:
             raise NonConvergenceError("overloaded-set iteration failed to settle")
         trace = SolveTrace(

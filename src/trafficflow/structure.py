@@ -114,6 +114,12 @@ def characterize_classes(net: Network) -> ClassDecomposition:
 
 
 def isolated_classes(net: Network) -> list[frozenset[int]]:
+    """The isolated classes of ``characterize_classes(net)``, in its order.
+    When every row of P sums below ``1 - ROW_SUM_TOL`` there is none, with
+    no decomposition: every class is then externally drained, and an
+    isolated class is by definition not."""
+    if (net.p.sum(axis=1) < 1.0 - ROW_SUM_TOL).all():
+        return []
     dec = characterize_classes(net)
     return [c for c, iso in zip(dec.classes, dec.isolated) if iso]
 

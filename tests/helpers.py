@@ -1,15 +1,19 @@
 """Shared helpers for the test suite: corpora and trace invariants."""
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trafficflow import (
     ConditionStatus,
     ConditionVerdict,
+    TrafficFlowError,
     gen_random,
     has_stochastic_class,
     make_network,
     spectral_radius,
 )
+from trafficflow.solvers import _goodman_massey_pass, _routing
 from trafficflow.structure import RADIUS_MARGIN
 
 
@@ -41,6 +45,48 @@ def small_networks(count):
         mu = rng.integers(1, 3, size=n) / 2
         nets.append(make_network(alpha, mu, mats[0], mats[1]))
     return nets
+
+
+@st.composite
+def hard_networks(draw):
+    """Networks of up to 7 nodes drawn toward the hard regions: sparse P
+    and Q, rows of P + Q summing to exactly 1 or to 1 - 1e-6, stochastic
+    routing cycles, and capacities within 1e-6 of the first pass's rates."""
+    n = draw(st.integers(1, 7))
+    unit = st.floats(0.0, 1.0)
+    weights = draw(arrays(np.float64, (2, n, n), elements=unit, fill=st.nothing()))
+    mask = draw(arrays(np.bool_, (2, n, n), fill=st.nothing()))
+    if draw(st.booleans()):
+        mask &= draw(arrays(np.bool_, (2, n, n), fill=st.nothing()))
+    p, q = weights * mask
+    sums = (p + q).sum(axis=1)
+    for i in range(n):
+        target = draw(st.sampled_from([1.0, 1.0 - 1e-6, 0.9, 0.5]))
+        if sums[i] > 0:
+            p[i] = p[i] / sums[i] * target
+            q[i] = q[i] / sums[i] * target
+    if draw(st.booleans()):
+        # A stochastic routing cycle through some of the nodes.
+        cycle = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            p[a] = 0.0
+            p[a, b] = 1.0
+            q[a] = 0.0
+    alpha = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    mu = draw(arrays(np.float64, n, elements=st.sampled_from([0.2, 0.5, 1.0, 2.0])))
+    net = make_network(alpha, mu, p, q)
+    if draw(st.booleans()):
+        # Put some capacities within 1e-6 of the first pass's rates.
+        try:
+            rates = _goodman_massey_pass(net, _routing(net))[-1][0]
+        except TrafficFlowError:
+            return net
+        offsets = st.sampled_from([np.nan, -1e-6, 0.0, 1e-6])
+        offset = draw(arrays(np.float64, n, elements=offsets))
+        near = ~np.isnan(offset) & (rates > 0)
+        mu = np.where(near, rates * (1.0 + offset), mu)
+        net = make_network(alpha, mu, p, q)
+    return net
 
 
 def zero_overflow(net):

@@ -500,12 +500,12 @@ def _band_reference(a, b, kl, ku):
     n = len(b)
     scale = linalg._row_scales(a, b)
     ws = Workspace(n, (kl, ku))
-    rhs, ab, _ = ws.views(n)
+    rhs, ab, diagonal = ws.views(n)
     for col in range(n):
         for row in range(max(0, col - ku), min(n, col + kl + 1)):
             ab[col, kl + ku + row - col] = a[col, row] / scale[row]
     rhs[:] = b / scale
-    x = linalg._gbsv(ws, n)
+    x = linalg._lapack_solve(ws, n, rhs, diagonal)
     if x is not None and np.isfinite(x).all():
         return linalg.LinearSolveResult(status=SolveStatus.UNIQUE, x=x)
     return linalg._solve_singular(a, b)
@@ -544,15 +544,14 @@ def test_reduced_gather_matches_the_materialized_system_bit_for_bit(monkeypatch,
     banded = count_calls(monkeypatch, linalg, "_reduced_banded")
     inputs = []
     # The matrix (band storage, fill-in rows included) and the rhs.
-    for name in ("_gesv", "_gbsv"):
-        kernel = getattr(linalg, name)
+    kernel = linalg._lapack_solve
 
-        def recorded(ws, r, kernel=kernel):
-            rhs, matrix, _ = ws.views(r)
-            inputs.append(matrix.tobytes() + rhs.tobytes())
-            return kernel(ws, r)
+    def recorded(ws, r, x, diagonal):
+        rhs, matrix, _ = ws.views(r)
+        inputs.append(matrix.tobytes() + rhs.tobytes())
+        return kernel(ws, r, x, diagonal)
 
-        monkeypatch.setattr(linalg, name, recorded)
+    monkeypatch.setattr(linalg, "_lapack_solve", recorded)
     rng = np.random.default_rng(37)
     cut = linalg.BAND_MIN_ROWS
     # (n, r, kl, ku): r = n keeps the first and last node; kl or ku = 0;

@@ -9,12 +9,11 @@ from helpers import (
     corpus,
     count_calls,
     first_solve_producing,
+    hard_networks,
     zero_overflow,
 )
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import trafficflow.solvers
 import trafficflow.structure
@@ -46,8 +45,8 @@ from trafficflow import (
 )
 from trafficflow import linalg
 from trafficflow.linalg import RADIUS_MARGIN, solve_reduced
-from trafficflow.network import classify_nodes
-from trafficflow.solvers import _goodman_massey_pass, _network_band, _pattern_system, _routing
+from trafficflow.network import ROW_SUM_TOL, classify_nodes
+from trafficflow.solvers import _network_band, _pattern_system, _routing
 
 
 def test_jackson_without_routing_returns_inputs():
@@ -216,68 +215,67 @@ def test_checked_overflow_on_long_chains_estimates_no_radius(monkeypatch):
 
 def test_checked_overflow_repeats_no_solve(monkeypatch):
     # The condition is checked against the first outer pass, so a checked
-    # solve makes one linear solve per trace step and characterizes the
-    # classes once.
+    # solve makes one linear solve per trace step and looks for isolated
+    # classes once.  It characterizes the classes only when some row of P
+    # does not leak (the chain and the four-node example here).
     nets = corpus(6, seed_base=700) + [
         zero_overflow(gen_random(7, seed=3)),
         gen_example1(CellGridSpec(m=2, delta=0.5, epsilon=0.5)),
         gen_example1(CellGridSpec(m=3, delta=1.0, epsilon=0.2)),
+        gen_example2(5),
+        gen_example3(),
     ]
     # Both solver entries count, so a stray solve through either fails.
-    solves = count_calls(monkeypatch, trafficflow.solvers, "solve_reduced")
+    solves = count_calls(monkeypatch, trafficflow.solvers, "_reduced_solution")
     dense_solves = count_calls(monkeypatch, trafficflow.solvers, "solve_left")
+    isolation_checks = count_calls(monkeypatch, trafficflow.solvers, "isolated_classes")
     characterizations = count_calls(
         monkeypatch, trafficflow.structure, "characterize_classes"
     )
+    leaking = 0
     for net in nets:
         solves.clear()
         dense_solves.clear()
+        isolation_checks.clear()
         characterizations.clear()
         _, trace = solve_overflow(net)
         assert len(solves) + len(dense_solves) == trace.inner_iterations_total
-        assert len(characterizations) == 1
+        assert len(isolation_checks) == 1
+        leaks = bool((net.p.sum(axis=1) < 1.0 - ROW_SUM_TOL).all())
+        assert len(characterizations) == (0 if leaks else 1)
+        leaking += leaks
+    assert 0 < leaking < len(nets)
 
 
-@st.composite
-def hard_networks(draw):
-    """Networks of up to 7 nodes drawn toward the hard regions: sparse P
-    and Q, rows of P + Q summing to exactly 1 or to 1 - 1e-6, stochastic
-    routing cycles, and capacities within 1e-6 of the first pass's rates."""
-    n = draw(st.integers(1, 7))
-    unit = st.floats(0.0, 1.0)
-    weights = draw(arrays(np.float64, (2, n, n), elements=unit, fill=st.nothing()))
-    mask = draw(arrays(np.bool_, (2, n, n), fill=st.nothing()))
-    if draw(st.booleans()):
-        mask &= draw(arrays(np.bool_, (2, n, n), fill=st.nothing()))
-    p, q = weights * mask
-    sums = (p + q).sum(axis=1)
-    for i in range(n):
-        target = draw(st.sampled_from([1.0, 1.0 - 1e-6, 0.9, 0.5]))
-        if sums[i] > 0:
-            p[i] = p[i] / sums[i] * target
-            q[i] = q[i] / sums[i] * target
-    if draw(st.booleans()):
-        # A stochastic routing cycle through some of the nodes.
-        cycle = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            p[a] = 0.0
-            p[a, b] = 1.0
-            q[a] = 0.0
-    alpha = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.1, 0.5, 1.0])))
-    mu = draw(arrays(np.float64, n, elements=st.sampled_from([0.2, 0.5, 1.0, 2.0])))
-    net = make_network(alpha, mu, p, q)
-    if draw(st.booleans()):
-        # Put some capacities within 1e-6 of the first pass's rates.
-        try:
-            rates = _goodman_massey_pass(net, _routing(net))[-1][0]
-        except TrafficFlowError:
-            return net
-        offsets = st.sampled_from([np.nan, -1e-6, 0.0, 1e-6])
-        offset = draw(arrays(np.float64, n, elements=offsets))
-        near = ~np.isnan(offset) & (rates > 0)
-        mu = np.where(near, rates * (1.0 + offset), mu)
-        net = make_network(alpha, mu, p, q)
-    return net
+def _fed_two_cycles(pairs):
+    """``pairs`` disjoint unit overflow two-cycles with no routing and
+    every node fed above capacity: every node is overloaded after the
+    first pass, and the second pass's first system is singular, dense
+    for one pair and banded for 20 (40 rows)."""
+    n = 2 * pairs
+    q = np.kron(np.eye(pairs), [[0.0, 1.0], [1.0, 0.0]])
+    return make_network(np.full(n, 3.0), np.ones(n), np.zeros((n, n)), q)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_singular_step_solves_once_then_classifies(monkeypatch, fallback):
+    # Every inner step makes one kernel call, the singular one included,
+    # and _solve_singular then classifies that system with no second
+    # kernel solve: dense, banded and under the fallback kernel.
+    if fallback:
+        monkeypatch.setattr(linalg, "_kernel", linalg._eliminate)
+    steps = count_calls(monkeypatch, trafficflow.solvers, "_reduced_solution")
+    kernels = [count_calls(monkeypatch, linalg, k) for k in ("_lapack_solve", "_solve_stack")]
+    banded = count_calls(monkeypatch, linalg, "_reduced_banded")
+    classified = count_calls(monkeypatch, trafficflow.solvers, "_solve_singular")
+    for pairs in (1, 20):
+        for calls in [steps, classified, *kernels]:
+            calls.clear()
+        with pytest.raises(SingularInnerSystemError, match="singular-inconsistent"):
+            solve_overflow(_fed_two_cycles(pairs), best_effort=True)
+        assert len(classified) == 1
+        assert sum(map(len, kernels)) == len(steps) >= 2
+    assert bool(banded) is (not fallback and linalg._LAPACK is not None)
 
 
 @settings(max_examples=200)
@@ -309,11 +307,11 @@ def test_checked_overflow_settles_next_to_the_margin():
     np.testing.assert_allclose(solution.rates, verdict.solutions[0], rtol=1e-9, atol=0)
 
 
-def _dense_stable_set_loop(net, overloaded, budget, routing):
+def _dense_stable_set_loop(net, overflow, budget, routing):
     """Reference for ``_stable_set_loop``: each pass solves the full
     pattern system with the dense kernel, ignoring ``routing``."""
-    overflow_mask = np.zeros((1, net.n), dtype=bool)
-    overflow_mask[0, list(overloaded)] = True
+    overflow_mask = overflow[None]
+    overloaded = frozenset(np.flatnonzero(overflow).tolist())
     stable = frozenset()
     solves = []
     for _ in range(budget):
@@ -456,16 +454,15 @@ def test_reused_workspace_matches_a_fresh_one(monkeypatch, loops):
     # returns, and no step solution, shares memory with the workspace or
     # with another, and the returned ones are read-only.
     handed = []
-    for name, banded in (("_gesv", False), ("_gbsv", True)):
-        kernel = getattr(linalg, name)
+    kernel = linalg._lapack_solve
 
-        def recorded(ws, r, kernel=kernel, banded=banded):
-            rhs, matrix, _ = ws.views(r)
-            read = matrix[:, ws.band[0] :] if banded else matrix
-            handed.append(read.tobytes() + rhs.tobytes())
-            return kernel(ws, r)
+    def recorded(ws, r, x, diagonal):
+        rhs, matrix, _ = ws.views(r)
+        read = matrix[:, ws.band[0] :] if r > ws.dense_rows else matrix
+        handed.append(read.tobytes() + rhs.tobytes())
+        return kernel(ws, r, x, diagonal)
 
-        monkeypatch.setattr(linalg, name, recorded)
+    monkeypatch.setattr(linalg, "_lapack_solve", recorded)
 
     def step(routes, rows, b, workspace):
         """solve_reduced's result and the bytes it handed LAPACK."""
@@ -477,9 +474,9 @@ def test_reused_workspace_matches_a_fresh_one(monkeypatch, loops):
     def recording(routes, rows, b, workspace):
         result, inputs = step(routes, rows, b, workspace)
         calls.append((routes, rows, b, workspace, workspace.floats, result, inputs))
-        return result
+        return result.x if result.status is SolveStatus.UNIQUE else None
 
-    monkeypatch.setattr(trafficflow.solvers, "solve_reduced", recording)
+    monkeypatch.setattr(trafficflow.solvers, "_reduced_solution", recording)
     net = gen_example1(CellGridSpec(m=5, delta=0.5, epsilon=0.5))
     if loops:
         rng = np.random.default_rng(61)
@@ -534,10 +531,10 @@ def test_network_band_bounds_every_reduced_system(net):
     def recording(routes, rows, b, workspace):
         assert not routes[-1].any()
         systems.append((routes[:-1][:, rows], workspace.band))
-        return solve_reduced(routes, rows, b, workspace)
+        return linalg._reduced_solution(routes, rows, b, workspace)
 
     with mock.patch.object(trafficflow.solvers, "BAND_MIN_ROWS", 0):
-        with mock.patch.object(trafficflow.solvers, "solve_reduced", recording):
+        with mock.patch.object(trafficflow.solvers, "_reduced_solution", recording):
             try:
                 solve_overflow(net, best_effort=True, delegate_zero_overflow=False)
             except IsolatedClassError:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from helpers import count_calls, enumerate_overflow_condition
+from helpers import count_calls, enumerate_overflow_condition, hard_networks
+
+from hypothesis import given, settings
 
 import trafficflow.structure
 from trafficflow import (
@@ -21,6 +23,7 @@ from trafficflow import (
 )
 from trafficflow.linalg import RADIUS_MARGIN
 from trafficflow.network import ROW_SUM_TOL
+from trafficflow.structure import isolated_classes
 
 EQ12 = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
 
@@ -187,6 +190,41 @@ def test_class_flags_match_closure_oracle():
         isolated += sum(dec.isolated)
         multi_class += len(dec.classes) > 1
     assert isolated >= 10 and multi_class >= 100
+
+
+def _isolated_read_off(net):
+    """The isolated classes of ``characterize_classes(net)``, in its order."""
+    dec = characterize_classes(net)
+    return [cls for cls, iso in zip(dec.classes, dec.isolated) if iso]
+
+
+def test_isolated_classes_match_the_decomposition(monkeypatch):
+    # Sparse routing with every row of P summing to 0.99, or each to 1,
+    # 1 - 1e-13 (no leak by ROW_SUM_TOL) or 0.99: both branches of
+    # isolated_classes run, the one with no class decomposition when
+    # every row leaks, and some networks have isolated classes.
+    rng = np.random.default_rng(83)
+    decompositions = count_calls(monkeypatch, trafficflow.structure, "characterize_classes")
+    skipped = isolated = 0
+    for k in range(200):
+        n = int(rng.integers(1, 10))
+        p = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        sums = p.sum(axis=1)
+        target = rng.choice([1.0, 1.0 - 1e-13, 0.99], size=n) if k % 2 else np.full(n, 0.99)
+        p *= np.where(sums > 0, target / np.where(sums > 0, sums, 1.0), 0.0)[:, None]
+        net = make_network(rng.random(n) * (rng.random(n) < 0.2), np.ones(n), p)
+        decompositions.clear()
+        got = isolated_classes(net)
+        skipped += not decompositions
+        assert got == _isolated_read_off(net)
+        isolated += bool(got)
+    assert skipped >= 50 and isolated >= 10
+
+
+@settings(max_examples=200)
+@given(hard_networks())
+def test_isolated_classes_match_the_decomposition_on_hard_networks(net):
+    assert isolated_classes(net) == _isolated_read_off(net)
 
 
 def test_condition_split_examples():
